@@ -22,8 +22,9 @@ SchemeOptions CloudHeavyOptions() {
   o.cloud_level_start = 0;
   o.block_cache_bytes = 64 << 10;
   o.local_cache_bytes = 64 << 10;
-  // Point-read tuning: a one-block readahead window means uniform random
-  // reads pay a real cloud GET per miss instead of streaming whole files.
+  // A one-block coalescing window: the looped-Get and MultiGet phases both
+  // pay one cloud GET per missed block, so the comparison isolates the
+  // parallel fan-out.
   o.cloud_readahead_bytes = 4 << 10;
   return o;
 }

@@ -14,9 +14,8 @@ using namespace rocksmash::bench;
 
 namespace {
 
-// Cold cloud-heavy rig: every SST cloud-resident, no legacy sync readahead
-// window, and a local cache too small to absorb the dataset — each scan
-// pays real range GETs.
+// Cold cloud-heavy rig: every SST cloud-resident and a local cache too
+// small to absorb the dataset — each scan pays real range GETs.
 Rig OpenColdCloudRig(const std::string& workdir) {
   SchemeOptions o = DefaultSchemeOptions();
   o.cloud_level_start = 0;

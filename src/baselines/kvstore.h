@@ -47,9 +47,10 @@ struct SchemeOptions {
   // (kRocksMash) or the whole-file cache (kCloudSstCache).
   uint64_t local_cache_bytes = 64ull * 1024 * 1024;
 
-  // Cloud range-GET readahead window for cloud-resident tables (kRocksMash
-  // and kCloudOnly). Point-read-heavy rigs shrink it toward the block size;
-  // scan-heavy rigs grow it.
+  // Largest range GET a MultiGet batch coalesces neighbouring block misses
+  // into, for cloud-resident tables (kRocksMash and kCloudOnly). Point
+  // reads fetch exactly their block; scans size their own windows
+  // (ReadOptions::scan_readahead_bytes).
   uint64_t cloud_readahead_bytes = 256 * 1024;
 
   // kRocksMash knobs.

@@ -130,6 +130,11 @@ bool MemTable::Get(const LookupKey& key, std::string* value, Status* s) {
         case kTypeDeletion:
           *s = Status::NotFound(Slice());
           return true;
+        case kTypeBlobIndex:
+          // Only flush and compaction write blob indexes; the memtable
+          // holds full values.
+          *s = Status::Corruption("blob index in memtable");
+          return true;
       }
     }
   }

@@ -185,9 +185,9 @@ struct ReadOptions {
 
   // Batched reads (DB::MultiGet).
   //
-  // Hint, in bytes, of how much nearby data the caller expects to touch.
-  // A tiered BlockSource may use it to size its cloud readahead window for
-  // this operation; 0 keeps the storage's configured default.
+  // Largest range GET, in bytes, a tiered BlockSource may coalesce this
+  // batch's neighbouring block misses into; 0 keeps the storage's
+  // cloud_readahead_bytes.
   uint64_t readahead_hint = 0;
   // Upper bound on concurrent cloud GETs a single MultiGet batch may have
   // in flight while filling coalesced block misses. 1 serializes (the
@@ -206,12 +206,12 @@ struct ReadOptions {
   // before the seek target. SeekToFirst/SeekToLast leave prefix mode.
   bool prefix_same_as_start = false;
 
-  // Byte budget for streaming scan readahead: once a table iterator
-  // detects sequential block access, upcoming data blocks are prefetched
-  // asynchronously (cloud sources coalesce them into range GETs on the
-  // shared fetch pool), double-buffered ahead of the cursor with a window
-  // that grows on streak and resets on seek, never holding more than this
-  // many bytes ahead of the cursor. 0 disables streaming readahead.
+  // Byte budget for streaming scan readahead: once a table iterator's
+  // block has to come from the cloud, it is fetched in one range GET with
+  // the blocks after it (16 KiB), and the following windows, doubling up
+  // to this many bytes, are prefetched on the shared fetch pool,
+  // double-buffered ahead of the cursor. Seek starts over. 0 disables
+  // streaming readahead: every block is a point read.
   uint64_t scan_readahead_bytes = 1 << 20;
 };
 

@@ -19,9 +19,47 @@ namespace rocksmash {
 
 namespace {
 
-// BlockSource for a cloud-resident SST: metadata reads are served from the
-// packed local metadata region; data reads consult the persistent cache and
-// fall back to cloud range GETs (admitting the fetched block).
+class CloudBlockSource;
+
+// One range GET in a source's in-flight table. A reader whose block it
+// covers waits for it instead of fetching the block again, and the scan
+// that planned it keeps it to read the blocks after the one it missed. When
+// the GET completes, every data block it was planned for is admitted to the
+// persistent cache and the fetch leaves the table.
+struct CloudFetch final : public BlockRange {
+  CloudFetch(CloudBlockSource* owner, uint64_t offset)
+      : source(owner), begin(offset), limit(offset) {}
+  // why unchecked: a read-ahead that failed before anyone needed its bytes
+  // is moot; every reader that does gets the error from Read().
+  ~CloudFetch() override { status.PermitUncheckedError(); }
+
+  uint64_t offset() const override { return begin; }
+  uint64_t end() const override { return limit; }
+  Status Read(const BlockHandle& handle, BlockContents* result) override;
+
+  void Add(const BlockHandle& h, BlockKind kind) {
+    limit = std::max(limit, h.offset() + h.size() + kBlockTrailerSize);
+    if (kind == BlockKind::kData) admit.push_back(h);
+  }
+
+  CloudBlockSource* const source;
+  const uint64_t begin;
+  // Grows only while the fetch is planned, under the source's mutex.
+  uint64_t limit;
+  std::vector<BlockHandle> admit;  // data blocks for the persistent cache
+  // Set under the source's mutex when the GET completes; read-only after.
+  bool done = false;
+  Status status;
+  std::string buffer;
+};
+
+// BlockSource for a cloud-resident SST. Metadata reads are served from the
+// packed local metadata region and data reads from the persistent cache;
+// the rest come from the cloud through one fetch planner. A point read
+// fetches exactly its block, a MultiGet batch coalesces neighbouring misses,
+// and a scan fetches a window of blocks from its first miss on. Every GET
+// goes through the in-flight table, so a reader of a block that a pending
+// GET covers waits for it rather than fetching the block again.
 class CloudBlockSource final : public BlockSource {
  public:
   CloudBlockSource(TieredTableStorage* storage, ObjectStore* store,
@@ -41,228 +79,67 @@ class CloudBlockSource final : public BlockSource {
         heat_(std::move(heat)),
         pin_check_every_(pin_check_every),
         statistics_(statistics),
-        prefetch_cv_(&prefetch_mu_) {}
+        cv_(&mu_) {}
 
   ~CloudBlockSource() override {
-    // Drain in-flight prefetch jobs: they capture `this` for CloudGet and
-    // the stats sink, so the source must outlive them.
-    MutexLock l(&prefetch_mu_);
-    while (prefetch_inflight_ > 0) prefetch_cv_.Wait();
-    for (auto& seg : prefetch_segments_) {
-      if (!seg->status.ok()) {
-        // Unconsumed failed prefetch; nothing depended on it.
-      }
-    }
+    // Pool jobs capture `this`: wait until every fetch has left the table.
+    MutexLock l(&mu_);
+    while (!inflight_.empty()) cv_.Wait();
   }
 
   Status ReadBlock(const BlockHandle& handle, BlockKind kind,
                    BlockContents* result) override {
-    // Heat tracking without the storage mutex: bump the shared counter and
-    // only run the (locking) promotion check every pin_check_every_-th
-    // access.
-    const uint64_t accesses =
-        heat_->fetch_add(1, std::memory_order_relaxed) + 1;
-    if (pin_check_every_ != 0 && accesses % pin_check_every_ == 0) {
-      storage_->MaybePromote(number_);
-    }
-    const size_t n = static_cast<size_t>(handle.size()) + kBlockTrailerSize;
-    std::string raw;
-
-    const bool is_meta = kind != BlockKind::kData;
-    if (pcache_ != nullptr) {
-      if (is_meta) {
-        if (pcache_->ReadMetadata(pcache_number_, handle.offset(), n, &raw) &&
-            raw.size() == n) {
-          RecordTick(statistics_, PERSISTENT_CACHE_METADATA_HIT);
-          return VerifyAndStripTrailer(Slice(raw), handle, result);
-        }
-        RecordTick(statistics_, PERSISTENT_CACHE_METADATA_MISS);
-      }
-      if (!is_meta && pcache_->GetBlock(pcache_number_, handle.offset(), &raw) &&
-          raw.size() == n) {
-        return VerifyAndStripTrailer(Slice(raw), handle, result);
-      }
-    }
-
-    // Streaming prefetch segments (scan readahead): serves the block from a
-    // completed async fetch, or waits briefly for the in-flight one that
-    // covers it — the wait overlaps with the GET that was issued while the
-    // previous blocks were being consumed.
-    if (!is_meta && ServeFromPrefetch(handle.offset(), n, &raw)) {
-      RecordTick(statistics_, SCAN_READAHEAD_HITS);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
-      PerfCount(&PerfContext::scan_prefetch_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, handle.offset(), Slice(raw));
-      }
-      return VerifyAndStripTrailer(Slice(raw), handle, result);
-    }
-
-    // Read-ahead buffer (sequential scans hit it for subsequent blocks).
-    if (!is_meta && ServeFromReadahead(handle.offset(), n, &raw)) {
-      RecordTick(statistics_, CLOUD_READAHEAD_HIT);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
-      PerfCount(&PerfContext::readahead_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, handle.offset(), Slice(raw));
-      }
-      return VerifyAndStripTrailer(Slice(raw), handle, result);
-    }
-
-    Status s;
-    if (!is_meta && readahead_bytes_ > n) {
-      // Fetch one window: the per-request latency is paid once for many
-      // blocks. Do not read past the data region.
-      uint64_t want = readahead_bytes_;
-      if (handle.offset() < metadata_offset_ &&
-          handle.offset() + want > metadata_offset_) {
-        want = std::max<uint64_t>(n, metadata_offset_ - handle.offset());
-      }
-      std::string window;
-      s = CloudGet(handle.offset(), want, &window);
-      if (!s.ok()) return s;
-      if (window.size() < n) {
-        return Status::Corruption("short cloud read", key_);
-      }
-      raw = window.substr(0, n);
-      MutexLock l(&readahead_mu_);
-      readahead_offset_ = handle.offset();
-      readahead_buffer_ = std::move(window);
-    } else {
-      s = CloudGet(handle.offset(), n, &raw);
-      if (!s.ok()) return s;
-      if (raw.size() != n) {
-        return Status::Corruption("short cloud read", key_);
-      }
-    }
-    if (!is_meta) RecordTick(statistics_, CLOUD_BLOCK_READS);
-    if (pcache_ != nullptr && !is_meta) {
-      pcache_->PutBlock(pcache_number_, handle.offset(), Slice(raw));
-    }
-    return VerifyAndStripTrailer(Slice(raw), handle, result);
+    BlockFetchRequest r;
+    r.handle = handle;
+    r.kind = kind;
+    ReadBlocks(&r, 1, BlockBatchOptions());
+    *result = std::move(r.contents);
+    return r.status;
   }
 
-  // Batched entry point (MultiGet): serve persistent-cache/readahead hits
-  // inline, then coalesce the remaining misses into range GETs (adjacent
-  // blocks within one readahead window share a request) issued concurrently
-  // on the storage's shared fetch pool, at most `max_parallel` in flight.
+  // Serves local hits inline. Each miss joins a pending fetch that covers
+  // it; the rest are coalesced into range GETs of at most one readahead
+  // window (window 0: one GET per block), run concurrently on the shared
+  // fetch pool, at most `max_parallel` at a time.
   void ReadBlocks(BlockFetchRequest* requests, size_t n,
                   const BlockBatchOptions& opts) override {
-    const uint64_t accesses =
-        heat_->fetch_add(n, std::memory_order_relaxed) + n;
-    if (pin_check_every_ != 0 && accesses / pin_check_every_ !=
-                                     (accesses - n) / pin_check_every_) {
-      storage_->MaybePromote(number_);
-    }
-
-    std::vector<size_t> misses;
+    Touch(n);
+    std::vector<BlockFetchRequest*> misses;
     for (size_t i = 0; i < n; i++) {
-      if (!TryServeLocal(&requests[i])) misses.push_back(i);
+      if (!ServeLocal(&requests[i])) misses.push_back(&requests[i]);
     }
     if (misses.empty()) return;
-
-    // Coalesce adjacent misses: one range GET per run of blocks that fits a
-    // readahead window, so nearby keys in a batch pay the per-request cloud
-    // latency once. Window 0 (readahead disabled, no hint) degenerates to
-    // one GET per block.
-    std::sort(misses.begin(), misses.end(), [&](size_t a, size_t b) {
-      return requests[a].handle.offset() < requests[b].handle.offset();
-    });
-    struct FetchGroup {
-      uint64_t offset = 0;
-      uint64_t length = 0;
-      std::vector<size_t> members;
-    };
+    std::sort(misses.begin(), misses.end(),
+              [](const BlockFetchRequest* a, const BlockFetchRequest* b) {
+                return a->handle.offset() < b->handle.offset();
+              });
     const uint64_t window =
         opts.readahead_hint > 0 ? opts.readahead_hint : readahead_bytes_;
-    std::vector<FetchGroup> groups;
-    for (size_t idx : misses) {
-      const BlockHandle& h = requests[idx].handle;
-      const uint64_t end = h.offset() + h.size() + kBlockTrailerSize;
-      if (!groups.empty() && end - groups.back().offset <= window) {
-        FetchGroup& g = groups.back();
-        g.length = end - g.offset;
-        g.members.push_back(idx);
-      } else {
-        FetchGroup g;
-        g.offset = h.offset();
-        g.length = end - h.offset();
-        g.members.push_back(idx);
-        groups.push_back(std::move(g));
+    std::vector<std::shared_ptr<CloudFetch>> served_by(misses.size());
+    std::vector<bool> joined(misses.size());
+    std::vector<std::shared_ptr<CloudFetch>> mine;
+    {
+      MutexLock l(&mu_);
+      for (size_t i = 0; i < misses.size(); i++) {
+        const BlockHandle& h = misses[i]->handle;
+        served_by[i] = PendingLocked(h);
+        joined[i] = served_by[i] != nullptr;
+        if (joined[i]) continue;
+        if (mine.empty() ||
+            h.offset() + h.size() + kBlockTrailerSize - mine.back()->begin >
+                window) {
+          mine.push_back(NewFetchLocked(h.offset()));
+        }
+        mine.back()->Add(h, misses[i]->kind);
+        served_by[i] = mine.back();
       }
     }
-
-    ThreadPool* pool = storage_->read_fetch_pool();
-    int max_parallel = std::max(1, opts.max_parallel);
-
-    auto fetch_group = [this, requests](const FetchGroup& g) {
-      std::string buf;
-      Status s = CloudGet(g.offset, g.length, &buf);
-      if (s.ok() && buf.size() < g.length) {
-        s = Status::Corruption("short cloud read", key_);
-      }
-      for (size_t idx : g.members) {
-        BlockFetchRequest* r = &requests[idx];
-        if (!s.ok()) {
-          r->status = s;
-          continue;
-        }
-        const size_t want =
-            static_cast<size_t>(r->handle.size()) + kBlockTrailerSize;
-        Slice raw(buf.data() + (r->handle.offset() - g.offset), want);
-        if (r->kind == BlockKind::kData) {
-          RecordTick(statistics_, CLOUD_BLOCK_READS);
-          if (pcache_ != nullptr) {
-            pcache_->PutBlock(pcache_number_, r->handle.offset(), raw);
-          }
-        }
-        r->status = VerifyAndStripTrailer(raw, r->handle, &r->contents);
-      }
-      // A multi-block group is a readahead window in all but name: keep it,
-      // so later batches (and interleaved single Gets) hit it instead of
-      // re-fetching the same range.
-      if (s.ok() && readahead_bytes_ > 0 && g.members.size() > 1) {
-        MutexLock l(&readahead_mu_);
-        readahead_offset_ = g.offset;
-        readahead_buffer_ = std::move(buf);
-      }
-    };
-
-    if (pool == nullptr || max_parallel == 1 || groups.size() == 1) {
-      for (const FetchGroup& g : groups) fetch_group(g);
-      return;
-    }
-
-    // Waves of at most max_parallel concurrent GETs; a local latch makes
-    // each wave wait only for its own tasks on the shared pool.
-    for (size_t start = 0; start < groups.size();
-         start += static_cast<size_t>(max_parallel)) {
-      const size_t end = std::min(groups.size(),
-                                  start + static_cast<size_t>(max_parallel));
-      // Lock order: leaf. Local join latch for one replay wave; worker
-      // threads signal completion under it and take nothing else.
-      Mutex wave_mu;
-      CondVar wave_cv(&wave_mu);
-      size_t pending = end - start;
-      for (size_t gi = start; gi < end; gi++) {
-        const FetchGroup* g = &groups[gi];
-        const bool scheduled =
-            pool->Schedule([&fetch_group, g, &wave_mu, &wave_cv, &pending,
-                            this] {
-              fetch_group(*g);
-              RecordTick(statistics_, MULTIGET_CLOUD_PARALLEL_GETS);
-              MutexLock l(&wave_mu);
-              if (--pending == 0) wave_cv.NotifyAll();
-            });
-        if (!scheduled) {
-          // Pool shutting down: degrade to inline.
-          fetch_group(*g);
-          MutexLock l(&wave_mu);
-          if (--pending == 0) wave_cv.NotifyAll();
-        }
-      }
-      MutexLock l(&wave_mu);
-      while (pending > 0) wave_cv.Wait();
+    RunAll(mine, opts.max_parallel);
+    for (size_t i = 0; i < misses.size(); i++) {
+      if (joined[i]) PerfCount(&PerfContext::readahead_hit_count);
+      misses[i]->status =
+          ReadFrom(served_by[i].get(), misses[i]->handle, misses[i]->kind,
+                   &misses[i]->contents, joined[i]);
     }
   }
 
@@ -275,152 +152,218 @@ class CloudBlockSource final : public BlockSource {
     return CloudGet(offset, n, out);
   }
 
-  // Scan readahead: fetch [first handle, last handle] as one async range GET
-  // on the shared fetch pool. Must not block on the network — the point is
-  // that the GET overlaps with the scan consuming the previous blocks.
-  void Prefetch(const BlockHandle* handles, size_t n,
-                const BlockBatchOptions& opts) override {
-    (void)opts;
-    if (n == 0) return;
-    // Trim handles already in the persistent cache from both ends (cheap
-    // index probes): a warm re-scan issues nothing, a partially warm window
-    // fetches only the cold contiguous span.
+  // A scan's miss: fetch the block and the planned ones after it (less any
+  // already in the persistent cache at the tail, or covered by a pending
+  // fetch) in one GET on the calling thread, which needs the block now.
+  Status ReadScanBlock(const BlockHandle& handle, const ReadaheadPlan& plan,
+                       BlockContents* result,
+                       std::shared_ptr<BlockRange>* range) override {
+    Touch(1);
+    BlockFetchRequest r;
+    r.handle = handle;
+    if (ServeLocal(&r)) {
+      *result = std::move(r.contents);
+      return r.status;
+    }
+    std::vector<BlockHandle> next = plan();
+    while (!next.empty() && InPcache(next.back())) next.pop_back();
+    std::shared_ptr<CloudFetch> fetch;
+    bool joined;
+    {
+      MutexLock l(&mu_);
+      fetch = PendingLocked(handle);
+      joined = fetch != nullptr;
+      if (!joined) {
+        fetch = NewFetchLocked(handle.offset());
+        fetch->Add(handle, BlockKind::kData);
+        for (const BlockHandle& h : next) {
+          if (PendingLocked(h) != nullptr) break;
+          fetch->Add(h, BlockKind::kData);
+        }
+      }
+    }
+    if (joined) {
+      PerfCount(&PerfContext::readahead_hit_count);
+    } else {
+      CountScanFetch(*fetch);
+      Run(fetch.get());
+    }
+    *range = fetch;
+    return ReadFrom(fetch.get(), handle, BlockKind::kData, result, joined);
+  }
+
+  // Scan read-ahead: the same planning, run on the shared fetch pool so the
+  // GET overlaps with the scan consuming the blocks before it.
+  std::shared_ptr<BlockRange> Prefetch(const BlockHandle* handles,
+                                       size_t n) override {
     size_t first = 0;
     size_t last = n;
-    if (pcache_ != nullptr) {
-      while (first < last &&
-             pcache_->HasBlock(pcache_number_, handles[first].offset())) {
-        first++;
-      }
-      while (first < last &&
-             pcache_->HasBlock(pcache_number_, handles[last - 1].offset())) {
-        last--;
-      }
-    }
-    if (first == last) return;
-    uint64_t begin = handles[first].offset();
-    uint64_t end = handles[last - 1].offset() + handles[last - 1].size() +
-                   kBlockTrailerSize;
-    // Never prefetch into the metadata region (it is local anyway).
-    end = std::min(end, metadata_offset_);
-    if (begin >= end) return;
-    std::shared_ptr<PrefetchSegment> seg;
+    while (first < last && InPcache(handles[first])) first++;
+    while (first < last && InPcache(handles[last - 1])) last--;
+    std::shared_ptr<CloudFetch> fetch;
     {
-      MutexLock l(&prefetch_mu_);
-      // Evict completed segments disjoint from the requested window: they
-      // were fetched for a scan position since abandoned (re-seek, new
-      // iterator) and would otherwise pin the segment cap forever.
-      for (size_t i = 0; i < prefetch_segments_.size();) {
-        PrefetchSegment* s = prefetch_segments_[i].get();
-        const uint64_t s_end = s->offset + s->length;
-        if (s->done && (s_end <= begin || s->offset >= end)) {
-          if (!s->status.ok()) {
-            // Stale failed fetch nobody consumed; the error is moot.
-          }
-          prefetch_segments_.erase(prefetch_segments_.begin() + i);
-          continue;
-        }
-        i++;
+      MutexLock l(&mu_);
+      while (first < last && PendingLocked(handles[first]) != nullptr) first++;
+      if (first == last) return nullptr;
+      fetch = NewFetchLocked(handles[first].offset());
+      for (size_t i = first; i < last && PendingLocked(handles[i]) == nullptr;
+           i++) {
+        fetch->Add(handles[i], BlockKind::kData);
       }
-      if (prefetch_segments_.size() >= kMaxPrefetchSegments) return;
-      // Skip the prefix already covered by queued/completed segments so
-      // overlapping windows (half-window refills) don't re-fetch bytes.
-      for (const auto& existing : prefetch_segments_) {
-        const uint64_t seg_end = existing->offset + existing->length;
-        if (existing->offset <= begin && begin < seg_end) {
-          begin = seg_end;
-        }
-      }
-      if (begin >= end) return;
-      seg = std::make_shared<PrefetchSegment>();
-      seg->offset = begin;
-      seg->length = end - begin;
-      for (size_t i = first; i < last; i++) {
-        const uint64_t off = handles[i].offset();
-        const size_t len = handles[i].size() + kBlockTrailerSize;
-        if (off >= begin && off + len <= end) seg->blocks.emplace_back(off, len);
-      }
-      prefetch_segments_.push_back(seg);
-      prefetch_inflight_++;
     }
-    RecordTick(statistics_, SCAN_READAHEAD_ISSUED);
-    RecordTick(statistics_, SCAN_READAHEAD_BYTES, end - begin);
+    CountScanFetch(*fetch);
     ThreadPool* pool = storage_->read_fetch_pool();
-    const bool scheduled =
-        pool != nullptr && pool->Schedule([this, seg] {
-          std::string buf;
-          Status s = CloudGet(seg->offset, seg->length, &buf);
-          if (s.ok() && buf.size() >= seg->length && pcache_ != nullptr) {
-            // Admit every prefetched block to the persistent cache now, not
-            // just the ones the scan consumes: bytes fetched past the point
-            // where a scan stops become local, so a later scan of the same
-            // range trims them instead of re-fetching from the cloud.
-            for (const auto& b : seg->blocks) {
-              pcache_->PutBlock(pcache_number_, b.first,
-                                Slice(buf.data() + (b.first - seg->offset),
-                                      b.second));
-            }
-          }
-          MutexLock l(&prefetch_mu_);
-          seg->status = std::move(s);
-          seg->buffer = std::move(buf);
-          seg->done = true;
-          prefetch_inflight_--;
-          prefetch_cv_.NotifyAll();
-        });
-    if (!scheduled) {
-      // No pool (local-only config) or pool shutting down: resolve the
-      // segment so no reader blocks on it forever.
-      MutexLock l(&prefetch_mu_);
-      seg->status = Status::Unavailable("prefetch pool unavailable");
-      seg->done = true;
-      prefetch_inflight_--;
-      prefetch_cv_.NotifyAll();
+    if (pool == nullptr ||
+        !pool->Schedule([this, fetch] { Run(fetch.get()); })) {
+      Run(fetch.get());  // no pool, or it is shutting down
     }
+    return fetch;
   }
 
  private:
-  // Serve one batched request from the metadata region, the persistent
-  // cache, or the readahead buffer; false if it needs a cloud fetch.
-  bool TryServeLocal(BlockFetchRequest* r) {
+  friend struct CloudFetch;
+
+  // Heat tracking without the storage mutex: bump the shared counter and
+  // run the (locking) promotion check once per pin_check_every_ accesses.
+  void Touch(uint64_t n) {
+    const uint64_t accesses =
+        heat_->fetch_add(n, std::memory_order_relaxed) + n;
+    if (pin_check_every_ != 0 && accesses / pin_check_every_ !=
+                                     (accesses - n) / pin_check_every_) {
+      storage_->MaybePromote(number_);
+    }
+  }
+
+  bool InPcache(const BlockHandle& h) {
+    return pcache_ != nullptr && pcache_->HasBlock(pcache_number_, h.offset());
+  }
+
+  // Serves `r` from the packed metadata region or the persistent cache;
+  // false when it has to come from the cloud.
+  bool ServeLocal(BlockFetchRequest* r) {
+    if (pcache_ == nullptr) return false;
     const size_t n = static_cast<size_t>(r->handle.size()) + kBlockTrailerSize;
     std::string raw;
-    const bool is_meta = r->kind != BlockKind::kData;
-    if (pcache_ != nullptr) {
-      if (is_meta &&
-          pcache_->ReadMetadata(pcache_number_, r->handle.offset(), n, &raw) &&
-          raw.size() == n) {
-        RecordTick(statistics_, PERSISTENT_CACHE_METADATA_HIT);
-        r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-        return true;
+    if (r->kind != BlockKind::kData) {
+      if (!pcache_->ReadMetadata(pcache_number_, r->handle.offset(), n,
+                                 &raw) ||
+          raw.size() != n) {
+        RecordTick(statistics_, PERSISTENT_CACHE_METADATA_MISS);
+        return false;
       }
-      if (!is_meta && pcache_->GetBlock(pcache_number_, r->handle.offset(), &raw) &&
-          raw.size() == n) {
-        r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-        return true;
+      RecordTick(statistics_, PERSISTENT_CACHE_METADATA_HIT);
+    } else if (!pcache_->GetBlock(pcache_number_, r->handle.offset(), &raw) ||
+               raw.size() != n) {
+      return false;
+    }
+    r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
+    return true;
+  }
+
+  std::shared_ptr<CloudFetch> PendingLocked(const BlockHandle& h)
+      EXCLUSIVE_LOCKS_REQUIRED(mu_) {
+    for (const auto& fetch : inflight_) {
+      if (fetch->Covers(h)) return fetch;
+    }
+    return nullptr;
+  }
+
+  std::shared_ptr<CloudFetch> NewFetchLocked(uint64_t offset)
+      EXCLUSIVE_LOCKS_REQUIRED(mu_) {
+    inflight_.push_back(std::make_shared<CloudFetch>(this, offset));
+    return inflight_.back();
+  }
+
+  void CountScanFetch(const CloudFetch& fetch) {
+    RecordTick(statistics_, SCAN_READAHEAD_ISSUED);
+    RecordTick(statistics_, SCAN_READAHEAD_BYTES, fetch.limit - fetch.begin);
+  }
+
+  // Performs `fetch`'s GET, admits its data blocks to the persistent cache,
+  // then retires it from the in-flight table and wakes its readers.
+  void Run(CloudFetch* fetch) {
+    const uint64_t length = fetch->limit - fetch->begin;
+    std::string buffer;
+    Status s = CloudGet(fetch->begin, length, &buffer);
+    if (s.ok() && buffer.size() < length) {
+      s = Status::Corruption("short cloud read", key_);
+    }
+    if (s.ok() && pcache_ != nullptr) {
+      for (const BlockHandle& h : fetch->admit) {
+        pcache_->PutBlock(pcache_number_, h.offset(),
+                          Slice(buffer.data() + (h.offset() - fetch->begin),
+                                h.size() + kBlockTrailerSize));
       }
     }
-    if (!is_meta && ServeFromPrefetch(r->handle.offset(), n, &raw)) {
-      RecordTick(statistics_, SCAN_READAHEAD_HITS);
+    MutexLock l(&mu_);
+    fetch->status = std::move(s);
+    fetch->buffer = std::move(buffer);
+    fetch->done = true;
+    inflight_.erase(std::find_if(inflight_.begin(), inflight_.end(),
+                                 [fetch](const std::shared_ptr<CloudFetch>& f) {
+                                   return f.get() == fetch;
+                                 }));
+    cv_.NotifyAll();
+  }
+
+  // Runs a reader's own fetches: inline when there is one, else in waves of
+  // at most `max_parallel` concurrent GETs on the shared fetch pool.
+  void RunAll(const std::vector<std::shared_ptr<CloudFetch>>& fetches,
+              int max_parallel) {
+    ThreadPool* pool = storage_->read_fetch_pool();
+    const size_t wave = static_cast<size_t>(std::max(1, max_parallel));
+    if (pool == nullptr || wave == 1 || fetches.size() <= 1) {
+      for (const auto& fetch : fetches) Run(fetch.get());
+      return;
+    }
+    for (size_t start = 0; start < fetches.size(); start += wave) {
+      const size_t end = std::min(fetches.size(), start + wave);
+      // Lock order: leaf. Local join latch for one wave; worker threads
+      // signal completion under it and take nothing else.
+      Mutex wave_mu;
+      CondVar wave_cv(&wave_mu);
+      size_t pending = end - start;
+      auto finish = [&wave_mu, &wave_cv, &pending] {
+        MutexLock l(&wave_mu);
+        if (--pending == 0) wave_cv.NotifyAll();
+      };
+      for (size_t i = start; i < end; i++) {
+        CloudFetch* fetch = fetches[i].get();
+        const bool scheduled = pool->Schedule([this, fetch, &finish] {
+          Run(fetch);
+          RecordTick(statistics_, MULTIGET_CLOUD_PARALLEL_GETS);
+          finish();
+        });
+        if (!scheduled) {
+          Run(fetch);  // pool shutting down: degrade to inline
+          finish();
+        }
+      }
+      MutexLock l(&wave_mu);
+      while (pending > 0) wave_cv.Wait();
+    }
+  }
+
+  // Waits for `fetch`, then verifies and returns the block at `handle` from
+  // its bytes. `ahead`: the fetch was planned for another block, so serving
+  // this one is a read-ahead hit.
+  Status ReadFrom(CloudFetch* fetch, const BlockHandle& handle, BlockKind kind,
+                  BlockContents* result, bool ahead) {
+    {
+      MutexLock l(&mu_);
+      while (!fetch->done) cv_.Wait();
+    }
+    if (!fetch->status.ok()) return fetch->status;
+    if (kind == BlockKind::kData) {
       RecordTick(statistics_, CLOUD_BLOCK_READS);
-      PerfCount(&PerfContext::scan_prefetch_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, r->handle.offset(), Slice(raw));
+      if (ahead) {
+        RecordTick(statistics_, SCAN_READAHEAD_HITS);
+        PerfCount(&PerfContext::scan_prefetch_hit_count);
       }
-      r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-      return true;
     }
-    if (!is_meta && ServeFromReadahead(r->handle.offset(), n, &raw)) {
-      RecordTick(statistics_, CLOUD_READAHEAD_HIT);
-      RecordTick(statistics_, CLOUD_BLOCK_READS);
-      PerfCount(&PerfContext::readahead_hit_count);
-      if (pcache_ != nullptr) {
-        pcache_->PutBlock(pcache_number_, r->handle.offset(), Slice(raw));
-      }
-      r->status = VerifyAndStripTrailer(Slice(raw), r->handle, &r->contents);
-      return true;
-    }
-    return false;
+    const Slice raw(fetch->buffer.data() + (handle.offset() - fetch->begin),
+                    handle.size() + kBlockTrailerSize);
+    return VerifyAndStripTrailer(raw, handle, result);
   }
 
   // All cloud range reads funnel through here for uniform accounting.
@@ -440,67 +383,6 @@ class CloudBlockSource final : public BlockSource {
     return s;
   }
 
-  bool ServeFromReadahead(uint64_t offset, size_t n, std::string* raw) {
-    MutexLock l(&readahead_mu_);
-    if (readahead_buffer_.empty() || offset < readahead_offset_ ||
-        offset + n > readahead_offset_ + readahead_buffer_.size()) {
-      return false;
-    }
-    raw->assign(readahead_buffer_.data() + (offset - readahead_offset_), n);
-    return true;
-  }
-
-  // One async prefetched range. Shared so a reader can wait on it after the
-  // lock is dropped and after other threads may have erased it from the list.
-  struct PrefetchSegment {
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    // (offset, raw length incl. trailer) of each block in the segment, so
-    // the fetch job can admit them to the persistent cache individually.
-    std::vector<std::pair<uint64_t, size_t>> blocks;
-    bool done = false;
-    Status status;
-    std::string buffer;
-  };
-
-  // Serve a block from a prefetched segment, waiting for the covering fetch
-  // if it is still in flight. Consumed segments (fully behind the read
-  // offset) are dropped, which is what bounds the list: a forward scan reads
-  // segments in offset order.
-  bool ServeFromPrefetch(uint64_t offset, size_t n, std::string* raw) {
-    std::shared_ptr<PrefetchSegment> cover;
-    {
-      MutexLock l(&prefetch_mu_);
-      for (size_t i = 0; i < prefetch_segments_.size();) {
-        PrefetchSegment* seg = prefetch_segments_[i].get();
-        if (seg->done && seg->offset + seg->length <= offset) {
-          // Fully consumed (or stale after a re-seek). Observe the status
-          // before dropping so a failed fetch nobody read doesn't abort
-          // checked-status builds.
-          if (!seg->status.ok()) {
-            // The scan moved past it; the error is moot.
-          }
-          prefetch_segments_.erase(prefetch_segments_.begin() + i);
-          continue;
-        }
-        if (seg->offset <= offset && offset + n <= seg->offset + seg->length) {
-          cover = prefetch_segments_[i];
-        }
-        i++;
-      }
-      if (cover == nullptr) return false;
-      // Wait on the copied shared_ptr: other threads may mutate the vector
-      // while the lock is released inside Wait().
-      while (!cover->done) prefetch_cv_.Wait();
-      if (!cover->status.ok() || cover->buffer.size() < cover->length) {
-        // Fall through to the sync path, which will surface any real error.
-        return false;
-      }
-      raw->assign(cover->buffer.data() + (offset - cover->offset), n);
-    }
-    return true;
-  }
-
   TieredTableStorage* storage_;
   ObjectStore* store_;
   std::string key_;
@@ -510,27 +392,23 @@ class CloudBlockSource final : public BlockSource {
   uint64_t pcache_number_;
   PersistentCache* pcache_;
   uint64_t metadata_offset_;
-  uint64_t readahead_bytes_;
+  uint64_t readahead_bytes_;  // largest coalesced MultiGet range GET
   std::shared_ptr<std::atomic<uint64_t>> heat_;
   uint64_t pin_check_every_;
   Statistics* statistics_;
 
-  // Lock order: leaf. Per-source readahead window; held across the cloud
-  // GetRange that refills it, never while taking another lock.
-  Mutex readahead_mu_;
-  uint64_t readahead_offset_ GUARDED_BY(readahead_mu_) = 0;
-  std::string readahead_buffer_ GUARDED_BY(readahead_mu_);
-
-  static constexpr size_t kMaxPrefetchSegments = 4;
-  // Lock order: leaf. Guards the streaming scan prefetch segments; jobs
-  // take no other locks under it, and Schedule() is always called outside.
-  Mutex prefetch_mu_;
-  CondVar prefetch_cv_;
-  std::vector<std::shared_ptr<PrefetchSegment>> prefetch_segments_
-      GUARDED_BY(prefetch_mu_);
-  int prefetch_inflight_ GUARDED_BY(prefetch_mu_) = 0;
+  // Lock order: leaf. Guards the in-flight table and every fetch's
+  // completion state; never held across a GET or a persistent-cache call.
+  Mutex mu_;
+  CondVar cv_;
+  std::vector<std::shared_ptr<CloudFetch>> inflight_ GUARDED_BY(mu_);
 };
 
+Status CloudFetch::Read(const BlockHandle& handle, BlockContents* result) {
+  source->Touch(1);
+  return source->ReadFrom(this, handle, BlockKind::kData, result,
+                          /*ahead=*/true);
+}
 // Local file source that also feeds the heat tracker (pinned files count as
 // cloud heat so pins refresh).
 class LocalBlockSource final : public BlockSource {

@@ -55,10 +55,10 @@ struct TieredStorageOptions {
   uint64_t pin_after_accesses = 64;
   uint64_t pin_budget_bytes = 64ull * 1024 * 1024;
 
-  // Cloud read-ahead: a data-block miss fetches up to this many bytes in
-  // one range GET and serves subsequent blocks from the buffer — scans pay
-  // the per-request latency once per readahead window instead of once per
-  // block. 0 disables.
+  // Largest range GET a MultiGet batch coalesces neighbouring block misses
+  // into (ReadOptions::readahead_hint overrides it per batch). Point reads
+  // fetch exactly their block, and scans size their own windows
+  // (ReadOptions::scan_readahead_bytes). 0: one GET per missed block.
   uint64_t cloud_readahead_bytes = 256 * 1024;
 
   // Transient cloud failures during uploads/migrations are retried this
@@ -135,8 +135,8 @@ class TieredTableStorage final : public TableStorage {
 
   // Bounded fan-out pool shared by every CloudBlockSource this storage
   // opens: batched reads (MultiGet) issue their coalesced cloud misses here
-  // concurrently instead of serially. nullptr when there is no cloud tier;
-  // callers then fall back to serial fetches.
+  // concurrently instead of serially, and scans their read-ahead. nullptr
+  // when there is no cloud tier; callers then fetch inline.
   ThreadPool* read_fetch_pool() const { return fetch_pool_; }
 
   // Uploads that needed at least one retry (reliability telemetry).

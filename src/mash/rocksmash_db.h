@@ -43,7 +43,7 @@ struct RocksMashOptions {
   // eWAL striping factor (1 = classic WAL).
   int wal_segments = 4;
 
-  // Cloud scan read-ahead window (0 disables); see TieredStorageOptions.
+  // Largest coalesced MultiGet range GET; see TieredStorageOptions.
   uint64_t cloud_readahead_bytes = 256 * 1024;
 
   // Heat-based pinning of hot cloud files to local storage.

@@ -108,9 +108,17 @@ void BlockSource::ReadBlocks(BlockFetchRequest* requests, size_t n,
   }
 }
 
-void BlockSource::Prefetch(const BlockHandle* /*handles*/, size_t /*n*/,
-                           const BlockBatchOptions& /*opts*/) {
-  // Local sources pay no per-block latency worth hiding.
+Status BlockSource::ReadScanBlock(const BlockHandle& handle,
+                                  const ReadaheadPlan& /*plan*/,
+                                  BlockContents* result,
+                                  std::shared_ptr<BlockRange>* /*range*/) {
+  // Local sources pay no per-request latency worth amortizing.
+  return ReadBlock(handle, BlockKind::kData, result);
+}
+
+std::shared_ptr<BlockRange> BlockSource::Prefetch(
+    const BlockHandle* /*handles*/, size_t /*n*/) {
+  return nullptr;
 }
 
 }  // namespace rocksmash

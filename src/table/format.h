@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/slice.h"
 #include "util/status.h"
@@ -92,10 +94,35 @@ struct BlockBatchOptions {
   // Upper bound on fetches a source may have in flight for this batch
   // (values < 1 mean 1, i.e. serial).
   int max_parallel = 8;
-  // Coalescing/readahead window override in bytes; 0 keeps the source's
-  // configured default.
+  // Largest coalesced range GET in bytes; 0 keeps the source's configured
+  // default.
   uint64_t readahead_hint = 0;
 };
+
+// One range GET a source planned for a streaming scan. The scan keeps it
+// until it has read past it, so every block it covers is served from its
+// bytes whatever the source's local cache has kept.
+class BlockRange {
+ public:
+  BlockRange() = default;
+  BlockRange(const BlockRange&) = delete;
+  BlockRange& operator=(const BlockRange&) = delete;
+  virtual ~BlockRange() = default;
+  // The file bytes [offset(), end()) the GET covers.
+  virtual uint64_t offset() const = 0;
+  virtual uint64_t end() const = 0;
+  bool Covers(const BlockHandle& h) const {
+    return h.offset() >= offset() &&
+           h.offset() + h.size() + kBlockTrailerSize <= end();
+  }
+  // Waits for the GET if it is still in flight, then verifies and returns
+  // the block at `handle`, which must be covered.
+  virtual Status Read(const BlockHandle& handle, BlockContents* result) = 0;
+};
+
+// The data blocks a scan will read after the one it needs now, in file
+// order, up to its current read-ahead window.
+using ReadaheadPlan = std::function<std::vector<BlockHandle>()>;
 
 // BlockSource: where the reader obtains raw block bytes. The plain
 // implementation reads from a RandomAccessFile; RocksMash plugs in a source
@@ -103,7 +130,8 @@ struct BlockBatchOptions {
 class BlockSource {
  public:
   virtual ~BlockSource() = default;
-  // Reads block + trailer at `handle`, verifies the crc, strips the trailer.
+  // Point read: block + trailer at `handle`, crc verified, trailer stripped.
+  // A cloud source fetches exactly these bytes and nothing around them.
   virtual Status ReadBlock(const BlockHandle& handle, BlockKind kind,
                            BlockContents* result) = 0;
   // Batched variant used by MultiGet: fills every request's contents and
@@ -115,14 +143,21 @@ class BlockSource {
                           const BlockBatchOptions& opts);
   // Raw byte range read (footer, metadata-region prefetch). No crc.
   virtual Status ReadRaw(uint64_t offset, size_t n, std::string* out) = 0;
-  // Streaming-scan hint: the caller expects to ReadBlock the given handles
-  // soon, in order. Sources may start fetching them asynchronously so later
-  // ReadBlock calls are served from buffered bytes. The default is a no-op
-  // (local files are already fast); the cloud source overrides it to issue
-  // coalesced range-GETs on its background pool. Must not block on the
-  // fetched data.
-  virtual void Prefetch(const BlockHandle* handles, size_t n,
-                        const BlockBatchOptions& opts);
+  // Streaming-scan read of data block `handle`. When the block has to come
+  // from a high-latency store, the source calls `plan` and fetches the block
+  // and the planned ones in one range GET; *range is then that GET, or a
+  // pending one the block joined, for the scan to read the rest from. The
+  // default is ReadBlock, leaving *range empty.
+  virtual Status ReadScanBlock(const BlockHandle& handle,
+                               const ReadaheadPlan& plan,
+                               BlockContents* result,
+                               std::shared_ptr<BlockRange>* range);
+  // Keeps a streaming scan ahead: starts one asynchronous range GET over
+  // `handles` (contiguous, file order), less the blocks already local at
+  // either end, and returns it. nullptr when nothing needs fetching, which
+  // is always the case for the default. Must not block on the fetched data.
+  virtual std::shared_ptr<BlockRange> Prefetch(const BlockHandle* handles,
+                                               size_t n);
 };
 
 // Reads blocks from a RandomAccessFile (local file or CloudEnv file).

@@ -95,10 +95,15 @@ void ReleaseBlockCacheHandle(Cache* cache, Cache::Handle* handle) {
 }  // namespace
 
 std::unique_ptr<Iterator> Table::NewBlockIterator(
-    const BlockHandle& handle) const {
+    const BlockHandle& handle, const MissReader& read_miss) const {
   Rep* r = rep_.get();
   Block* block = nullptr;
   Cache::Handle* cache_handle = nullptr;
+  auto read = [&](BlockContents* contents) {
+    return read_miss != nullptr
+               ? read_miss(contents)
+               : r->source->ReadBlock(handle, BlockKind::kData, contents);
+  };
 
   if (r->block_cache != nullptr) {
     char cache_key_buffer[16];
@@ -114,7 +119,7 @@ std::unique_ptr<Iterator> Table::NewBlockIterator(
       RecordTick(r->options.statistics, BLOCK_CACHE_MISS);
       PerfCount(&PerfContext::block_read_count);
       BlockContents contents;
-      Status s = r->source->ReadBlock(handle, BlockKind::kData, &contents);
+      Status s = read(&contents);
       if (!s.ok()) return NewErrorIterator(s);
       block = new Block(std::move(contents));
       cache_handle = r->block_cache->Insert(key, block, block->size(),
@@ -123,7 +128,7 @@ std::unique_ptr<Iterator> Table::NewBlockIterator(
   } else {
     PerfCount(&PerfContext::block_read_count);
     BlockContents contents;
-    Status s = r->source->ReadBlock(handle, BlockKind::kData, &contents);
+    Status s = read(&contents);
     if (!s.ok()) return NewErrorIterator(s);
     block = new Block(std::move(contents));
   }
@@ -146,12 +151,15 @@ std::unique_ptr<Iterator> Table::NewBlockIterator(
 //    TableIterOptions::prefix_same_as_start) consults the filter block and
 //    refuses to open any data block when the filter excludes the prefix.
 //
-//  * Streaming readahead: sequential forward block access is detected via an
-//    offset streak; once established, upcoming data-block handles are handed
-//    to BlockSource::Prefetch so a cloud source can fetch them
-//    asynchronously while the current block is consumed. The window starts
-//    small and doubles up to TableIterOptions::scan_readahead_bytes; any
-//    Seek resets it.
+//  * Streaming readahead: a forward scan reads the data blocks that miss the
+//    RAM block cache through BlockSource::ReadScanBlock. The first one that
+//    has to come from the cloud is fetched in one range GET together with
+//    the blocks after it, up to kInitialReadaheadWindow. From then on, as
+//    soon as the scan enters the last window fetched, the next one, twice
+//    as large up to TableIterOptions::scan_readahead_bytes, is started with
+//    BlockSource::Prefetch while the current blocks are consumed. The
+//    iterator keeps its fetches until it has read past them. A scan whose
+//    blocks are all cached plans nothing; any Seek starts over.
 namespace {
 
 constexpr uint64_t kInitialReadaheadWindow = 16 * 1024;
@@ -286,85 +294,95 @@ class TwoLevelIterator final : public Iterator {
       return;
     }
     current_handle_ = handle_value.ToString();
-    MaybeReadahead(handle);
-    SetDataIterator(table_->NewIteratorForHandle(handle));
+    if (!forward_ || iopts_.scan_readahead_bytes == 0) {
+      ResetReadahead();
+      SetDataIterator(table_->NewIteratorForHandle(handle));
+      return;
+    }
+    SetDataIterator(table_->NewIteratorForHandle(
+        handle, [this, &handle](BlockContents* contents) {
+          return ReadMissedBlock(handle, contents);
+        }));
+    KeepAhead(handle);
   }
 
   // -- Streaming readahead ---------------------------------------------
 
+  static uint64_t BlockEnd(const BlockHandle& h) {
+    return h.offset() + h.size() + kBlockTrailerSize;
+  }
+
   void ResetReadahead() {
-    streak_ = 0;
     window_ = 0;
-    last_block_end_ = 0;
-    prefetch_horizon_ = 0;
+    horizon_ = 0;
+    fetches_.clear();
   }
 
-  // Called for every newly opened data block. Tracks whether block opens
-  // are sequential; once two consecutive blocks have been opened in order,
-  // asks the BlockSource to prefetch the next window of blocks, doubling
-  // the window while the streak holds.
-  void MaybeReadahead(const BlockHandle& handle) {
-    if (iopts_.scan_readahead_bytes == 0) return;
-    if (!forward_) {
-      ResetReadahead();
-      return;
+  // A data block of a forward scan missed the RAM block cache: serve it from
+  // one of this scan's fetches, or read it through the source, which plans
+  // the first window from here if the block has to come from the cloud.
+  Status ReadMissedBlock(const BlockHandle& handle, BlockContents* contents) {
+    DropFetchesBefore(handle.offset());
+    for (const auto& fetch : fetches_) {
+      if (fetch->Covers(handle)) return fetch->Read(handle, contents);
     }
-    const uint64_t block_end =
-        handle.offset() + handle.size() + kBlockTrailerSize;
-    if (last_block_end_ != 0 && handle.offset() == last_block_end_) {
-      streak_++;
-    } else {
-      streak_ = 0;
-      window_ = 0;
-      prefetch_horizon_ = 0;
+    const uint64_t window =
+        std::min(kInitialReadaheadWindow, iopts_.scan_readahead_bytes);
+    std::shared_ptr<BlockRange> fetch;
+    Status s = table_->ReadScanBlock(
+        handle,
+        [&] { return HandlesIn(BlockEnd(handle), handle.offset() + window); },
+        contents, &fetch);
+    if (fetch != nullptr) {
+      horizon_ = std::max(horizon_, fetch->end());
+      window_ = std::max(window_, window);
+      fetches_.push_back(std::move(fetch));
     }
-    last_block_end_ = block_end;
-    // Three sequential opens before the first fetch: short scans (a few
-    // blocks) never trigger, so point-ish workloads don't pay for bytes
-    // they won't consume.
-    if (streak_ < 2) return;
-    if (window_ == 0) {
-      window_ = std::min<uint64_t>(kInitialReadaheadWindow,
-                                   iopts_.scan_readahead_bytes);
-    }
-    // Refill when less than half a window of prefetched bytes remains
-    // ahead of the scan position (double-buffering: the second half is
-    // in flight while the first is consumed). The window doubles per
-    // refill, not per block open, so it only ramps toward the full
-    // budget while the scan is actually consuming prefetched bytes.
-    const uint64_t ahead =
-        prefetch_horizon_ > block_end ? prefetch_horizon_ - block_end : 0;
-    if (ahead >= window_ / 2) return;
-    IssuePrefetch(std::max(prefetch_horizon_, block_end), block_end + window_);
-    if (window_ < iopts_.scan_readahead_bytes) {
-      window_ = std::min<uint64_t>(window_ * 2, iopts_.scan_readahead_bytes);
-    }
+    return s;
   }
 
-  // Collects the handles of data blocks in [start, target_end) from a
-  // lookahead cursor over the index and hands them to the source.
-  void IssuePrefetch(uint64_t start, uint64_t target_end) {
+  // Once this scan has fetched from the cloud, keeps it double-buffered:
+  // as soon as it opens a block in the last window fetched, the next
+  // window, twice as large up to the budget, is started behind it.
+  void KeepAhead(const BlockHandle& handle) {
+    if (horizon_ == 0) return;  // nothing fetched since the Seek
+    DropFetchesBefore(handle.offset());
+    const uint64_t block_end = BlockEnd(handle);
+    if (horizon_ > block_end && horizon_ - block_end >= window_) return;
+    window_ = std::min(window_ * 2, iopts_.scan_readahead_bytes);
+    const uint64_t start = std::max(horizon_, block_end);
+    std::vector<BlockHandle> handles = HandlesIn(start, start + window_);
+    if (handles.empty()) return;
+    // Blocks already cached stay in the plan's span: re-planning them on
+    // the next open would only find them cached again.
+    horizon_ = BlockEnd(handles.back());
+    std::shared_ptr<BlockRange> fetch =
+        table_->PrefetchBlocks(handles.data(), handles.size());
+    if (fetch != nullptr) fetches_.push_back(std::move(fetch));
+  }
+
+  // The data blocks after the current one that lie within [start, limit),
+  // read from a lookahead cursor over the index.
+  std::vector<BlockHandle> HandlesIn(uint64_t start, uint64_t limit) {
     if (lookahead_iter_ == nullptr) {
       lookahead_iter_ = table_->NewIndexIterator();
     }
     lookahead_iter_->Seek(index_iter_->key());
     std::vector<BlockHandle> handles;
-    uint64_t horizon = target_end;
     for (lookahead_iter_->Next(); lookahead_iter_->Valid();
          lookahead_iter_->Next()) {
       BlockHandle h;
       Slice input = lookahead_iter_->value();
-      if (!h.DecodeFrom(&input).ok()) break;
-      if (h.offset() < start) continue;
-      if (h.offset() >= target_end) break;
-      handles.push_back(h);
-      horizon = h.offset() + h.size() + kBlockTrailerSize;
+      if (!h.DecodeFrom(&input).ok() || BlockEnd(h) > limit) break;
+      if (h.offset() >= start) handles.push_back(h);
     }
-    prefetch_horizon_ = std::max(prefetch_horizon_, horizon);
-    if (handles.empty()) return;
-    BlockBatchOptions bopts;
-    bopts.readahead_hint = iopts_.scan_readahead_bytes;
-    table_->PrefetchBlocks(handles.data(), handles.size(), bopts);
+    return handles;
+  }
+
+  void DropFetchesBefore(uint64_t offset) {
+    while (!fetches_.empty() && fetches_.front()->end() <= offset) {
+      fetches_.erase(fetches_.begin());
+    }
   }
 
   std::unique_ptr<Iterator> index_iter_;
@@ -375,10 +393,10 @@ class TwoLevelIterator final : public Iterator {
   Status status_;
 
   bool forward_ = true;
-  int streak_ = 0;                // consecutive sequential block opens
-  uint64_t window_ = 0;           // current adaptive readahead window
-  uint64_t last_block_end_ = 0;   // file offset just past the last block
-  uint64_t prefetch_horizon_ = 0; // prefetch issued up to this offset
+  uint64_t window_ = 0;   // size of the last planned fetch; 0 before any
+  uint64_t horizon_ = 0;  // fetches planned up to this file offset
+  // This scan's fetches, in file order, until it has read past them.
+  std::vector<std::shared_ptr<BlockRange>> fetches_;
   std::unique_ptr<Iterator> lookahead_iter_;  // lazily created index cursor
 };
 
@@ -432,34 +450,44 @@ bool Table::PrefixRuledOut(Iterator* index_iter, const Slice& target) const {
   return ruled_out;
 }
 
-void Table::PrefetchBlocks(const BlockHandle* handles, size_t n,
-                           const BlockBatchOptions& opts) const {
+bool Table::InBlockCache(const BlockHandle& handle) const {
   Rep* r = rep_.get();
-  // Trim handles already resident in the RAM block cache from both ends of
-  // the batch, keeping the remainder contiguous so the source can still
-  // coalesce it into one range fetch. A re-scan of a fully warm range
-  // issues nothing.
-  if (r->block_cache != nullptr) {
-    char cache_key_buffer[16];
-    EncodeFixed64(cache_key_buffer, r->cache_id);
-    auto in_block_cache = [&](const BlockHandle& h) {
-      EncodeFixed64(cache_key_buffer + 8, h.offset());
-      Slice key(cache_key_buffer, sizeof(cache_key_buffer));
-      Cache::Handle* ch = r->block_cache->Lookup(key);
-      if (ch == nullptr) return false;
-      r->block_cache->Release(ch);
-      return true;
-    };
-    while (n > 0 && in_block_cache(handles[0])) {
-      handles++;
-      n--;
-    }
-    while (n > 0 && in_block_cache(handles[n - 1])) {
-      n--;
-    }
+  if (r->block_cache == nullptr) return false;
+  char cache_key_buffer[16];
+  EncodeFixed64(cache_key_buffer, r->cache_id);
+  EncodeFixed64(cache_key_buffer + 8, handle.offset());
+  Cache::Handle* ch =
+      r->block_cache->Lookup(Slice(cache_key_buffer, sizeof(cache_key_buffer)));
+  if (ch == nullptr) return false;
+  r->block_cache->Release(ch);
+  return true;
+}
+
+Status Table::ReadScanBlock(const BlockHandle& handle,
+                            const ReadaheadPlan& plan, BlockContents* result,
+                            std::shared_ptr<BlockRange>* range) const {
+  return rep_->source->ReadScanBlock(
+      handle,
+      [&] {
+        std::vector<BlockHandle> next = plan();
+        while (!next.empty() && InBlockCache(next.back())) next.pop_back();
+        return next;
+      },
+      result, range);
+}
+
+std::shared_ptr<BlockRange> Table::PrefetchBlocks(const BlockHandle* handles,
+                                                  size_t n) const {
+  // Trim from both ends only, keeping the remainder contiguous so the source
+  // fetches it in one range GET. A re-scan of a fully warm range issues
+  // nothing.
+  while (n > 0 && InBlockCache(handles[0])) {
+    handles++;
+    n--;
   }
-  if (n == 0) return;
-  r->source->Prefetch(handles, n, opts);
+  while (n > 0 && InBlockCache(handles[n - 1])) n--;
+  if (n == 0) return nullptr;
+  return rep_->source->Prefetch(handles, n);
 }
 
 Status Table::InternalGet(const Slice& key, void* arg,

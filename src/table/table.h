@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "table/format.h"
@@ -30,9 +31,9 @@ struct TableIterOptions {
   // a table whose filter excludes the prefix (the iterator comes back
   // invalid with an OK status). Requires TableOptions::prefix_extractor.
   bool prefix_same_as_start = false;
-  // Streaming-readahead budget: on a detected sequential block-access
-  // streak, up to this many bytes of upcoming data blocks are handed to
-  // BlockSource::Prefetch. 0 disables readahead.
+  // Streaming-readahead budget: the largest window of upcoming data blocks a
+  // forward scan fetches in one range GET once a block has missed every
+  // local cache. 0 disables readahead: every block is a point read.
   uint64_t scan_readahead_bytes = 0;
 };
 
@@ -72,15 +73,21 @@ class Table {
   // Approximate file offset where `key` would live (for ApproximateSizes).
   uint64_t ApproximateOffsetOf(const Slice& key) const;
 
-  // Iterator over one data block (used by the two-level iterator).
+  // Reads a data block on a RAM block-cache miss (the two-level iterator's
+  // streaming read-ahead).
+  using MissReader = std::function<Status(BlockContents*)>;
+
+  // Iterator over one data block (used by the two-level iterator). A RAM
+  // block-cache miss reads the block with `read_miss` when given, else with
+  // a point read.
   std::unique_ptr<Iterator> NewIteratorForHandle(
-      const BlockHandle& handle) const {
-    return NewBlockIterator(handle);
+      const BlockHandle& handle, const MissReader& read_miss = nullptr) const {
+    return NewBlockIterator(handle, read_miss);
   }
 
   // Iterator over the resident index block (entries: separator key ->
-  // encoded BlockHandle). Used by the two-level iterator for its readahead
-  // lookahead cursor.
+  // encoded BlockHandle). Used by the two-level iterator to plan its
+  // read-ahead windows.
   std::unique_ptr<Iterator> NewIndexIterator() const;
 
   // Filter-based run skipping: with `index_iter` positioned by
@@ -93,17 +100,26 @@ class Table {
   // index_iter's position; ticks SCAN_RUNS_SKIPPED when returning true.
   bool PrefixRuledOut(Iterator* index_iter, const Slice& target) const;
 
-  // Forwards a streaming-scan hint to the BlockSource (see
-  // BlockSource::Prefetch).
-  void PrefetchBlocks(const BlockHandle* handles, size_t n,
-                      const BlockBatchOptions& opts) const;
+  // Streaming-scan read of a data block that missed the RAM block cache (see
+  // BlockSource::ReadScanBlock). Planned blocks at the tail that are already
+  // in the RAM block cache are left out of the fetch.
+  Status ReadScanBlock(const BlockHandle& handle, const ReadaheadPlan& plan,
+                       BlockContents* result,
+                       std::shared_ptr<BlockRange>* range) const;
+
+  // Starts the asynchronous fetch of upcoming blocks, less those at either
+  // end already in the RAM block cache (see BlockSource::Prefetch).
+  std::shared_ptr<BlockRange> PrefetchBlocks(const BlockHandle* handles,
+                                             size_t n) const;
 
  private:
   struct Rep;
 
   explicit Table(std::unique_ptr<Rep> rep);
 
-  std::unique_ptr<Iterator> NewBlockIterator(const BlockHandle& handle) const;
+  std::unique_ptr<Iterator> NewBlockIterator(
+      const BlockHandle& handle, const MissReader& read_miss = nullptr) const;
+  bool InBlockCache(const BlockHandle& handle) const;
 
   std::unique_ptr<Rep> rep_;
 };

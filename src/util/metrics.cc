@@ -35,7 +35,6 @@ const char* const kTickerNames[TICKER_ENUM_MAX] = {
     "cloud.get.bytes",
     "cloud.put.count",
     "cloud.put.bytes",
-    "cloud.readahead.hit",
     "cloud.uploads.completed",
     "cloud.upload.retries",
     "cloud.uploads.parked",

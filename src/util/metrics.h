@@ -59,7 +59,6 @@ enum Tickers : uint32_t {
   CLOUD_GET_BYTES,
   CLOUD_PUT_COUNT,
   CLOUD_PUT_BYTES,
-  CLOUD_READAHEAD_HIT,
 
   // Upload pipeline.
   CLOUD_UPLOADS_COMPLETED,

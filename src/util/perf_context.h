@@ -38,7 +38,8 @@ struct PerfContext {
   // Tables skipped outright by a prefix-constrained Seek (filter excluded
   // the prefix).
   uint64_t scan_runs_skipped_count = 0;
-  // Block reads served from a streaming-readahead prefetch segment.
+  // Block reads served from the bytes of a cloud fetch planned for another
+  // block: a scan's read-ahead window, or a pending GET the read joined.
   uint64_t scan_prefetch_hit_count = 0;
   uint64_t block_cache_hit_count = 0;
   uint64_t block_read_count = 0;  // RAM block-cache misses (any tier).
@@ -47,6 +48,8 @@ struct PerfContext {
   uint64_t persistent_cache_miss_count = 0;
   uint64_t cloud_read_count = 0;
   uint64_t cloud_read_bytes = 0;
+  // Block reads that joined a GET another reader had in flight instead of
+  // issuing their own.
   uint64_t readahead_hit_count = 0;
   uint64_t multiget_count = 0;       // Batches issued by this thread.
   uint64_t multiget_key_count = 0;   // Keys across those batches.

@@ -19,7 +19,10 @@
 #include "lsm/sharded_db.h"
 #include "mash/metadata_store.h"
 #include "mash/persistent_cache.h"
+#include "mash/placement.h"
 #include "mash/rocksmash_db.h"
+#include "table/table.h"
+#include "table/table_builder.h"
 #include "trace/trace_tools.h"
 #include "util/clock.h"
 #include "util/random.h"
@@ -774,6 +777,153 @@ TEST(ConcurrencyStressTest, PersistentCacheGlobalLogLayout) {
   }
   PersistentCacheStats stats = cache.GetStats();
   EXPECT_LE(stats.data_bytes, options.capacity_bytes);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------- Cloud fetch planner: reads racing a table drop ----------
+
+// Point reads and streaming scans race the in-flight fetch table of one
+// cloud table while its persistent-cache extent is repeatedly invalidated
+// (every re-admission lands in a new extent generation) and the table is
+// finally removed. Every read must return the table's own bytes or, once
+// the cloud object is gone, an error; a corrupt block or a wrong value would
+// mean a reader got bytes from a dropped extent generation. Destroying a
+// table while its read-ahead is still in flight must drain it, not hang.
+TEST(ConcurrencyStressTest, FetchPlannerReadsRaceTableDrop) {
+  const std::string dir = TestDir("fetch_planner");
+  std::filesystem::remove_all(dir);
+
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  model.get_first_byte_micros = 300;  // fetches stay pending for a while
+  model.put_first_byte_micros = 1;
+  auto cloud = NewMemObjectStore(SystemClock::Default(), model);
+  PersistentCacheOptions pc;
+  pc.dir = dir + "/pcache";
+  pc.capacity_bytes = 64 * 1024;  // admissions evict constantly too
+  PersistentCache pcache(pc);
+  TieredStorageOptions ts;
+  ts.local_dir = dir + "/local";
+  ts.cloud = cloud.get();
+  ts.cloud_level_start = 0;
+  ts.persistent_cache = &pcache;
+  TieredTableStorage storage(ts);
+
+  constexpr int kRounds = 3;
+  constexpr int kReaders = 4;
+  constexpr uint64_t kKeys = 2000;
+  for (int round = 0; round < kRounds; round++) {
+    // A new number per round, as compaction allocates them; the values
+    // differ per round as well.
+    const uint64_t number = static_cast<uint64_t>(round) + 1;
+    auto value_of = [round](uint64_t i) {
+      return ValueOf(i * kRounds + static_cast<uint64_t>(round));
+    };
+    uint64_t file_size = 0;
+    {
+      std::unique_ptr<WritableFile> file;
+      ASSERT_TRUE(storage.NewStagingFile(number, &file).ok());
+      TableBuilder builder(TableOptions(), file.get());
+      for (uint64_t i = 0; i < kKeys; i++) builder.Add(KeyOf(i), value_of(i));
+      ASSERT_TRUE(builder.Finish().ok());
+      ASSERT_TRUE(file->Close().ok());
+      file_size = builder.FileSize();
+      ASSERT_TRUE(storage
+                      .Install(number, 2, file_size, builder.MetadataOffset())
+                      .ok());
+    }
+    auto open_table = [&] {
+      std::unique_ptr<BlockSource> source;
+      uint64_t got_size = 0;
+      EXPECT_TRUE(storage.OpenTable(number, &source, &got_size).ok());
+      std::unique_ptr<Table> table;
+      EXPECT_TRUE(Table::Open(TableOptions(), std::move(source), file_size,
+                              nullptr, 1, &table)
+                      .ok());
+      return table;
+    };
+
+    // Leave a scan's read-ahead in flight, then destroy the table under it:
+    // the source must drain the pending GET, not hang on it.
+    {
+      std::unique_ptr<Table> table = open_table();
+      std::unique_ptr<Iterator> it = table->NewIterator(
+          TableIterOptions{/*prefix_same_as_start=*/false,
+                           /*scan_readahead_bytes=*/1 << 20});
+      it->SeekToFirst();
+      for (int i = 0; i < 40 && it->Valid(); i++) it->Next();
+      EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+      it.reset();
+      const auto t0 = std::chrono::steady_clock::now();
+      table.reset();
+      EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                std::chrono::seconds(5));
+    }
+
+    std::unique_ptr<Table> table = open_table();
+    std::atomic<bool> removed{false};
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> reads{0};
+    std::atomic<uint64_t> wrong{0};           // corrupt block or wrong value
+    std::atomic<uint64_t> early_errors{0};    // errors before the Remove
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kReaders; r++) {
+      threads.emplace_back([&, r] {
+        Random64 rng(4000 + static_cast<uint64_t>(round * kReaders + r));
+        TableIterOptions iopts;
+        iopts.scan_readahead_bytes = 64 * 1024;
+        auto check = [&](const Status& s) {
+          if (s.IsCorruption()) {
+            wrong.fetch_add(1);
+          } else if (!s.ok() && !removed.load()) {
+            early_errors.fetch_add(1);
+          }
+        };
+        while (!stop.load(std::memory_order_acquire)) {
+          const uint64_t start = rng.Uniform(kKeys);
+          if (rng.OneIn(2)) {
+            std::string value;
+            Status s = table->InternalGet(
+                KeyOf(start), &value,
+                [](void* arg, const Slice& /*k*/, const Slice& v) {
+                  reinterpret_cast<std::string*>(arg)->assign(v.data(),
+                                                              v.size());
+                });
+            if (s.ok() && value != value_of(start)) wrong.fetch_add(1);
+            check(s);
+          } else {
+            std::unique_ptr<Iterator> it = table->NewIterator(iopts);
+            it->Seek(KeyOf(start));
+            for (uint64_t i = start; i < kKeys && i < start + 60; i++) {
+              if (!it->Valid()) break;
+              if (it->key().ToString() != KeyOf(i) ||
+                  it->value().ToString() != value_of(i)) {
+                wrong.fetch_add(1);
+              }
+              it->Next();
+            }
+            check(it->status());
+          }
+          reads.fetch_add(1);
+        }
+      });
+    }
+    // Drop the cached extent over and over while the readers run, then
+    // remove the table (cloud object + extent) under them.
+    for (int i = 0; i < 40; i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      pcache.Invalidate(number);
+    }
+    removed.store(true);  // before Remove: reads racing it may fail
+    ASSERT_TRUE(storage.Remove(number).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stop.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_EQ(0u, wrong.load()) << "round " << round;
+    EXPECT_EQ(0u, early_errors.load()) << "round " << round;
+  }
   std::filesystem::remove_all(dir);
 }
 
