@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     auto cost = meter.MonthlyCost(
         stats.storage.cloud_bytes,
         stats.storage.local_bytes + stats.persistent_cache.disk_bytes +
-            stats.persistent_cache.metadata.bytes + stats.file_cache_bytes,
+            stats.persistent_cache.metadata.bytes,
         delta, hours);
 
     // $ per million ops at the measured throughput, if sustained for the

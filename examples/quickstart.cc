@@ -6,8 +6,8 @@
 #include <filesystem>
 #include <memory>
 
+#include "baselines/kvstore.h"
 #include "cloud/object_store.h"
-#include "mash/rocksmash_db.h"
 #include "util/clock.h"
 
 using namespace rocksmash;
@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
 
   // 2. Open the store: local shallow levels + WAL under local_dir, deep
   //    levels in the bucket, hot blocks + metadata cached on "local SSD".
-  RocksMashOptions options;
+  SchemeOptions options;
+  options.kind = SchemeKind::kRocksMash;
   options.local_dir = workdir + "/db";
   options.cloud = cloud.get();
   options.cloud_level_start = 1;        // L0 local; L1+ in the bucket.
@@ -31,8 +32,8 @@ int main(int argc, char** argv) {
   options.max_file_size = 256 * 1024;
   options.wal_segments = 4;             // eWAL striping for fast recovery.
 
-  std::unique_ptr<RocksMashDB> db;
-  Status s = RocksMashDB::Open(options, &db);
+  std::unique_ptr<KVStore> db;
+  Status s = OpenKVStore(options, &db);
   if (!s.ok()) {
     std::fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     return 1;
@@ -61,6 +62,7 @@ int main(int argc, char** argv) {
   s = db->Get(ReadOptions(), "user00012345", &value);
   std::printf("Get(user00012345) -> %s\n",
               s.ok() ? value.c_str() : s.ToString().c_str());
+  if (!s.ok()) return 1;
 
   std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
   std::printf("First 3 keys by scan:\n");
@@ -81,11 +83,11 @@ int main(int argc, char** argv) {
               stats.storage.cloud_bytes / 1024.0);
   std::printf("Persistent cache: %llu metadata slabs (%.1f KiB), "
               "%.1f KiB data blocks, %llu hits / %llu misses\n",
-              (unsigned long long)stats.cache.metadata.slabs,
-              stats.cache.metadata.bytes / 1024.0,
-              stats.cache.data_bytes / 1024.0,
-              (unsigned long long)stats.cache.hits,
-              (unsigned long long)stats.cache.misses);
+              (unsigned long long)stats.persistent_cache.metadata.slabs,
+              stats.persistent_cache.metadata.bytes / 1024.0,
+              stats.persistent_cache.data_bytes / 1024.0,
+              (unsigned long long)stats.persistent_cache.hits,
+              (unsigned long long)stats.persistent_cache.misses);
   std::printf("Cloud requests: %llu PUTs, %llu GETs\n",
               (unsigned long long)stats.cloud_ops.puts,
               (unsigned long long)stats.cloud_ops.gets);

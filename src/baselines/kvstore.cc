@@ -1,14 +1,17 @@
 #include "baselines/kvstore.h"
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <mutex>
 
 #include "env/env.h"
+#include "lsm/dbformat.h"
 #include "lsm/filename.h"
 #include "lsm/sharded_db.h"
+#include "lsm/wal.h"
+#include "mash/ewal.h"
 #include "mash/placement.h"
-#include "mash/rocksmash_db.h"
 #include "util/prefix_extractor.h"
 
 namespace rocksmash {
@@ -34,14 +37,12 @@ namespace {
 class CloudSstCacheStorage final : public TableStorage {
  public:
   CloudSstCacheStorage(Env* env, std::string local_dir, ObjectStore* cloud,
-                       std::string cloud_prefix, uint64_t budget,
-                       std::shared_ptr<SstFileCacheStats> stats)
+                       std::string cloud_prefix, uint64_t budget)
       : env_(env),
         local_dir_(std::move(local_dir)),
         cloud_(cloud),
         cloud_prefix_(std::move(cloud_prefix)),
-        budget_(budget),
-        ext_stats_(std::move(stats)) {
+        budget_(budget) {
     // why unchecked: an unusable dir fails the first staging-file create
     // with a better message; the constructor has no error channel.
     env_->CreateDirRecursively(local_dir_).PermitUncheckedError();
@@ -155,10 +156,10 @@ class CloudSstCacheStorage final : public TableStorage {
       lru_.remove(number);
       lru_.push_back(number);
       *file_size = it->second;
-      if (ext_stats_) ext_stats_->hits++;
+      stats_.file_cache_hits++;
       return Status::OK();
     }
-    if (ext_stats_) ext_stats_->misses++;
+    stats_.file_cache_misses++;
 
     // Miss: download the whole file (the file-granularity cost).
     std::string contents;
@@ -182,10 +183,9 @@ class CloudSstCacheStorage final : public TableStorage {
         cached_.erase(vit);
         // why unchecked: eviction is best-effort; see Remove above.
         env_->RemoveFile(CachePath(victim)).PermitUncheckedError();
-        if (ext_stats_) ext_stats_->evictions++;
+        stats_.file_cache_evictions++;
       }
     }
-    if (ext_stats_) ext_stats_->bytes = cache_bytes_;
     return Status::OK();
   }
 
@@ -194,10 +194,10 @@ class CloudSstCacheStorage final : public TableStorage {
   ObjectStore* cloud_;
   std::string cloud_prefix_;
   uint64_t budget_;
-  std::shared_ptr<SstFileCacheStats> ext_stats_;
 
-  // Lock order: leaf. Guards only the size map; cloud/file I/O runs
-  // outside it.
+  // Lock order: leaf. Guards the maps, the LRU and the counters; a miss
+  // holds it across the whole-file GET and the local write, so concurrent
+  // opens of any table wait for that download.
   mutable Mutex mu_;
   std::map<uint64_t, uint64_t> sizes_
       GUARDED_BY(mu_);  // All live tables (cloud), number->size
@@ -208,290 +208,228 @@ class CloudSstCacheStorage final : public TableStorage {
   TableStorageStats stats_ GUARDED_BY(mu_);
 };
 
-// KVStore over a raw DB + injected storage/wal (LocalOnly, CloudOnly,
-// CloudSstCache). Holds one TableStorage per shard (a single entry when
-// num_shards == 1) and, for CloudSstCache, one SstFileCacheStats per shard
-// so concurrent shards never race on a shared counter struct.
-class EngineKVStore final : public KVStore {
- public:
-  EngineKVStore(const SchemeOptions& options, std::unique_ptr<DB> db,
-                std::shared_ptr<SharedResources> shared_resources,
-                std::vector<std::unique_ptr<TableStorage>> storages,
-                std::unique_ptr<Cache> owned_block_cache, Cache* block_cache,
-                std::vector<std::shared_ptr<SstFileCacheStats>>
-                    file_cache_stats)
-      : options_(options),
-        shared_resources_(std::move(shared_resources)),
-        storages_(std::move(storages)),
-        owned_block_cache_(std::move(owned_block_cache)),
-        block_cache_(block_cache),
-        file_cache_stats_(std::move(file_cache_stats)),
-        db_(std::move(db)) {}
-
-  ~EngineKVStore() override {
-    db_.reset();  // Engine first; it uses storages_.
-  }
-
-  DB* db() const override { return db_.get(); }
-  const char* Name() const override { return SchemeName(options_.kind); }
-  Statistics* statistics() const override { return options_.statistics; }
-
-  KVStoreStats Stats() const override {
-    KVStoreStats s;
-    for (const auto& storage : storages_) {
-      TableStorageStats ss = storage->GetStats();
-      s.storage.local_bytes += ss.local_bytes;
-      s.storage.cloud_bytes += ss.cloud_bytes;
-      s.storage.local_files += ss.local_files;
-      s.storage.cloud_files += ss.cloud_files;
-      s.storage.uploads += ss.uploads;
-      s.storage.downloads += ss.downloads;
-      s.storage.pending_uploads += ss.pending_uploads;
-    }
-    if (options_.cloud != nullptr) {
-      s.cloud_ops = options_.cloud->Counters();
-    }
-    s.block_cache = block_cache_->GetStats();
-    for (const auto& fcs : file_cache_stats_) {
-      s.file_cache_hits += fcs->hits;
-      s.file_cache_misses += fcs->misses;
-      s.file_cache_bytes += fcs->bytes;
-    }
-    s.recovery = db_->GetRecoveryStats();
-    return s;
-  }
-
- private:
-  SchemeOptions options_;
-  // Destruction runs bottom-up (db_ first; see ~EngineKVStore): the engine
-  // uses the storages, and both may hold the shared pools, so
-  // shared_resources_ is declared first.
-  std::shared_ptr<SharedResources> shared_resources_;
-  std::vector<std::unique_ptr<TableStorage>> storages_;
-  // Owned in the unsharded path; shared-cache opens leave it null and point
-  // block_cache_ at the SharedResources cache.
-  std::unique_ptr<Cache> owned_block_cache_;
-  Cache* block_cache_;
-  std::vector<std::shared_ptr<SstFileCacheStats>> file_cache_stats_;
-  std::unique_ptr<DB> db_;
-};
-
-// KVStore over RocksMashDB.
-class MashKVStore final : public KVStore {
- public:
-  explicit MashKVStore(std::unique_ptr<RocksMashDB> db,
-                       const SchemeOptions& options)
-      : options_(options), db_(std::move(db)) {}
-
-  DB* db() const override { return db_->raw_db(); }
-  const char* Name() const override { return "RocksMash"; }
-  Statistics* statistics() const override { return options_.statistics; }
-
-  KVStoreStats Stats() const override {
-    RocksMashStats ms = db_->Stats();
-    KVStoreStats s;
-    s.storage = ms.storage;
-    s.cloud_ops = ms.cloud_ops;
-    s.block_cache = ms.block_cache;
-    s.persistent_cache = ms.cache;
-    s.recovery = ms.recovery;
-    return s;
-  }
-
-  RocksMashDB* mash() { return db_.get(); }
-
- private:
-  SchemeOptions options_;
-  std::unique_ptr<RocksMashDB> db_;
-};
-
 }  // namespace
 
 std::unique_ptr<TableStorage> NewCloudSstCacheStorage(
     Env* env, const std::string& local_dir, ObjectStore* cloud,
-    const std::string& cloud_prefix, uint64_t cache_budget_bytes,
-    std::shared_ptr<SstFileCacheStats> stats) {
-  return std::make_unique<CloudSstCacheStorage>(
-      env, local_dir, cloud, cloud_prefix, cache_budget_bytes,
-      std::move(stats));
+    const std::string& cloud_prefix, uint64_t cache_budget_bytes) {
+  return std::make_unique<CloudSstCacheStorage>(env, local_dir, cloud,
+                                                cloud_prefix,
+                                                cache_budget_bytes);
+}
+
+KVStore::KVStore(const SchemeOptions& options) : options_(options) {}
+
+KVStore::~KVStore() = default;
+
+KVStoreStats KVStore::Stats(double hours_observed) const {
+  KVStoreStats s;
+  for (const auto& storage : storages_) {
+    const TableStorageStats one = storage->GetStats();
+    s.storage.local_bytes += one.local_bytes;
+    s.storage.cloud_bytes += one.cloud_bytes;
+    s.storage.local_files += one.local_files;
+    s.storage.cloud_files += one.cloud_files;
+    s.storage.uploads += one.uploads;
+    s.storage.downloads += one.downloads;
+    s.storage.pending_uploads += one.pending_uploads;
+    s.storage.file_cache_hits += one.file_cache_hits;
+    s.storage.file_cache_misses += one.file_cache_misses;
+    s.storage.file_cache_evictions += one.file_cache_evictions;
+  }
+  if (pcache_ != nullptr) {
+    s.persistent_cache = pcache_->GetStats();
+  }
+  s.block_cache = shared_resources_->block_cache()->GetStats();
+  uint64_t cloud_bytes = 0;
+  if (options_.cloud != nullptr) {
+    s.cloud_ops = options_.cloud->Counters();
+    cloud_bytes = options_.cloud->BytesStored();
+  }
+  s.recovery = db_->GetRecoveryStats();
+  const uint64_t local_bytes = s.storage.local_bytes +
+                               s.persistent_cache.disk_bytes +
+                               s.persistent_cache.metadata.bytes;
+  s.monthly_cost = CostMeter().MonthlyCost(cloud_bytes, local_bytes,
+                                           s.cloud_ops, hours_observed);
+  return s;
+}
+
+Status KVStore::BackupToCloud(const std::string& backup_prefix) {
+  if (options_.kind != SchemeKind::kRocksMash) {
+    return Status::NotSupported(std::string("backup of a ") + Name() +
+                                " store");
+  }
+  if (options_.cloud == nullptr) {
+    return Status::InvalidArgument("backup requires a cloud tier");
+  }
+  if (storages_.size() > 1) {
+    return Status::NotSupported("backup of a sharded store");
+  }
+  // A flush makes the WAL redundant for the snapshot: everything live is in
+  // SSTs + MANIFEST afterwards.
+  Status s = db_->FlushMemTable();
+  if (!s.ok()) return s;
+  db_->WaitForCompaction();
+
+  Env* env = options_.env != nullptr ? options_.env : Env::Default();
+  ObjectStore* cloud = options_.cloud;
+  const std::string& dir = options_.local_dir;
+
+  // Upload CURRENT, the manifest it names, and every local-tier SST. The
+  // object set under backup_prefix fully describes the snapshot; cloud-tier
+  // SSTs are referenced in place under the normal table prefix.
+  std::string current;
+  s = ReadFileToString(env, CurrentFileName(dir), &current);
+  if (!s.ok()) return s;
+  s = cloud->Put(backup_prefix + "/CURRENT", current);
+  if (!s.ok()) return s;
+
+  std::string manifest_name = current.substr(0, current.find('\n'));
+  std::string manifest;
+  s = ReadFileToString(env, dir + "/" + manifest_name, &manifest);
+  if (!s.ok()) return s;
+  s = cloud->Put(backup_prefix + "/" + manifest_name, manifest);
+  if (!s.ok()) return s;
+
+  std::vector<std::string> children;
+  s = env->GetChildren(dir, &children);
+  if (!s.ok()) return s;
+  for (const auto& child : children) {
+    uint64_t number;
+    FileType type;
+    if (!ParseFileName(child, &number, &type) ||
+        type != FileType::kTableFile) {
+      continue;
+    }
+    std::string contents;
+    s = ReadFileToString(env, dir + "/" + child, &contents);
+    if (!s.ok()) return s;
+    s = cloud->Put(backup_prefix + "/" + child, contents);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
 }
 
 Status OpenKVStore(const SchemeOptions& options,
                    std::unique_ptr<KVStore>* store) {
   store->reset();
-  Env* env = options.env != nullptr ? options.env : Env::Default();
-
-  if (options.kind == SchemeKind::kRocksMash) {
-    RocksMashOptions mo;
-    mo.local_dir = options.local_dir;
-    mo.cloud = options.cloud;
-    mo.cloud_level_start = options.cloud_level_start;
-    mo.cloud_readahead_bytes = options.cloud_readahead_bytes;
-    mo.persistent_cache_bytes = options.local_cache_bytes;
-    mo.cache_layout = options.cache_layout;
-    mo.wal_segments = options.wal_segments;
-    mo.pin_hot_files = options.pin_hot_files;
-    mo.enable_pipelined_write = options.enable_pipelined_write;
-    mo.allow_concurrent_memtable_write =
-        options.allow_concurrent_memtable_write;
-    mo.max_write_group_bytes = options.max_write_group_bytes;
-    mo.write_buffer_size = options.write_buffer_size;
-    mo.max_file_size = options.max_file_size;
-    mo.max_bytes_for_level_base = options.max_bytes_for_level_base;
-    mo.block_size = options.block_size;
-    mo.block_cache_bytes = options.block_cache_bytes;
-    mo.filter_bits_per_key = options.filter_bits_per_key;
-    mo.prefix_length = options.prefix_length;
-    mo.max_open_files = options.max_open_files;
-    mo.compress_blocks = options.compress_blocks;
-    mo.async_uploads = options.async_uploads;
-    mo.upload_threads = options.upload_threads;
-    mo.max_background_flushes = options.max_background_flushes;
-    mo.max_background_compactions = options.max_background_compactions;
-    mo.blob = options.blob;
-    mo.num_shards = options.num_shards;
-    mo.shared_resources = options.shared_resources;
-    mo.statistics = options.statistics;
-    mo.listeners = options.listeners;
-    mo.stats_dump_period_sec = options.stats_dump_period_sec;
-    mo.env = env;
-    std::unique_ptr<RocksMashDB> db;
-    Status s = RocksMashDB::Open(mo, &db);
-    if (!s.ok()) return s;
-    *store = std::make_unique<MashKVStore>(std::move(db), options);
-    return Status::OK();
-  }
-
   if ((options.kind == SchemeKind::kCloudOnly ||
        options.kind == SchemeKind::kCloudSstCache) &&
       options.cloud == nullptr) {
     return Status::InvalidArgument(std::string(SchemeName(options.kind)) +
                                    " requires an object store");
   }
-
-  Status dir_status = env->CreateDirRecursively(options.local_dir);
-  if (!dir_status.ok() && !env->FileExists(options.local_dir)) {
-    return dir_status;
-  }
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  Status s = env->CreateDirRecursively(options.local_dir);
+  if (!s.ok() && !env->FileExists(options.local_dir)) return s;
 
   const int num_shards = std::max(1, options.num_shards);
   const bool sharded = num_shards > 1;
+  // Unsharded stores write no marker, but still refuse one that names
+  // another shard count.
+  s = ShardedDB::CheckShardMarker(env, options.local_dir, num_shards,
+                                  /*create=*/sharded);
+  if (!s.ok() && !s.IsNotFound()) return s;
 
-  // The shard count is part of the on-disk layout (the routing hash is a
-  // function of it): verify the marker on reopen, persist it on first
-  // sharded open. Unsharded stores write no marker.
-  {
-    int existing = 0;
-    Status ms = ShardedDB::ReadShardMarker(env, options.local_dir, &existing);
-    if (ms.ok()) {
-      if (existing != num_shards) {
-        return Status::InvalidArgument(
-            "OpenKVStore",
-            "shard count mismatch: marker has " + std::to_string(existing) +
-                ", requested " + std::to_string(num_shards));
-      }
-    } else if (ms.IsNotFound()) {
-      if (sharded) {
-        ms = WriteStringToFile(env, std::to_string(num_shards) + "\n",
-                               options.local_dir + "/SHARDS", /*sync=*/true);
-        if (!ms.ok()) return ms;
-      }
-    } else {
-      return ms;
-    }
-  }
-
-  // One SharedResources for the shard group: one block-cache budget, one
-  // cloud pool pair, one flush/compaction lane pair for all shards.
-  std::shared_ptr<SharedResources> shared = options.shared_resources;
-  if (shared == nullptr && sharded) {
-    SharedResourcesOptions sr;
+  std::unique_ptr<KVStore> kv(new KVStore(options));
+  kv->shared_resources_ = options.shared_resources;
+  if (kv->shared_resources_ == nullptr) {
+    SharedResourcesOptions sr = SharedResourcesForShards(
+        num_shards, options.max_background_flushes,
+        options.max_background_compactions, options.upload_threads);
     sr.block_cache_bytes = options.block_cache_bytes;
     sr.statistics = options.statistics;
-    sr.flush_threads =
-        std::max(options.max_background_flushes, std::min(num_shards, 4));
-    sr.compaction_threads =
-        std::max(options.max_background_compactions, std::min(num_shards, 4));
-    sr.upload_threads = std::max(options.upload_threads, 2);
-    Status srs = SharedResources::Create(sr, &shared);
-    if (!srs.ok()) return srs;
+    s = SharedResources::Create(sr, &kv->shared_resources_);
+    if (!s.ok()) return s;
+  }
+  const SharedResources& shared = *kv->shared_resources_;
+
+  if (options.kind == SchemeKind::kRocksMash && options.cloud != nullptr) {
+    // One persistent cache for every shard: shards namespace their file ids
+    // into it via TieredStorageOptions::cache_namespace.
+    PersistentCacheOptions pc;
+    pc.dir = options.local_dir + "/pcache";
+    pc.env = env;
+    pc.capacity_bytes = options.local_cache_bytes;
+    pc.layout = options.cache_layout;
+    pc.statistics = options.statistics;
+    pc.listeners = options.listeners;
+    kv->pcache_ = std::make_unique<PersistentCache>(pc);
   }
 
-  std::unique_ptr<Cache> owned_block_cache;
-  Cache* block_cache = nullptr;
-  if (shared != nullptr) {
-    block_cache = shared->block_cache();
-  } else {
-    owned_block_cache = NewLRUCache(options.block_cache_bytes);
-    block_cache = owned_block_cache.get();
-  }
-
-  std::vector<std::unique_ptr<TableStorage>> storages;
-  std::vector<std::shared_ptr<SstFileCacheStats>> file_cache_stats;
   std::vector<ShardedDB::ShardSpec> specs;
   specs.reserve(static_cast<size_t>(num_shards));
-
   for (int i = 0; i < num_shards; i++) {
     const std::string shard_dir =
         sharded ? options.local_dir + "/shard-" + std::to_string(i)
                 : options.local_dir;
     if (sharded) {
-      Status ds = env->CreateDirRecursively(shard_dir);
-      if (!ds.ok()) return ds;
+      s = env->CreateDirRecursively(shard_dir);
+      if (!s.ok()) return s;
     }
+
     // Shards allocate file numbers independently, so cloud-backed schemes
     // need per-shard object prefixes to keep the bucket keys disjoint.
     const std::string cloud_prefix =
         sharded ? "tables/shard-" + std::to_string(i) : "tables";
 
+    DBOptions dbo;
+    // kCloudOnly and kRocksMash tier their tables through this storage.
+    TieredStorageOptions ts;
+    ts.local_dir = shard_dir;
+    ts.env = env;
+    ts.cloud = options.cloud;
+    ts.cloud_prefix = cloud_prefix;
+    ts.cloud_readahead_bytes = options.cloud_readahead_bytes;
+    ts.upload_pool = shared.upload_pool();
+    ts.fetch_pool = shared.cloud_fetch_pool();
+    ts.statistics = options.statistics;
+    ts.listeners = options.listeners;
+
     switch (options.kind) {
       case SchemeKind::kLocalOnly:
-        storages.push_back(NewLocalTableStorage(env, shard_dir));
+        kv->storages_.push_back(NewLocalTableStorage(env, shard_dir));
         break;
-      case SchemeKind::kCloudOnly: {
-        // Tiered storage with everything in the cloud and no persistent
-        // cache.
-        TieredStorageOptions ts;
-        ts.local_dir = shard_dir;
-        ts.env = env;
-        ts.cloud = options.cloud;
-        ts.cloud_prefix = cloud_prefix;
+      case SchemeKind::kCloudOnly:
+        // Everything in the cloud and no persistent cache.
         ts.cloud_level_start = 0;
-        ts.cloud_readahead_bytes = options.cloud_readahead_bytes;
-        ts.persistent_cache = nullptr;
-        if (shared != nullptr) {
-          ts.upload_pool = shared->upload_pool();
-          ts.fetch_pool = shared->cloud_fetch_pool();
-        }
-        ts.statistics = options.statistics;
-        ts.listeners = options.listeners;
-        storages.push_back(std::make_unique<TieredTableStorage>(ts));
+        kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
         break;
-      }
       case SchemeKind::kCloudSstCache: {
-        // Per-shard stats struct: the shards' download paths run
-        // concurrently and must not race on one counter block. Stats() sums
-        // them. The whole-file cache budget is a store-wide number, split
-        // evenly (floored so tiny configs stay usable).
-        file_cache_stats.push_back(std::make_shared<SstFileCacheStats>());
+        // The whole-file cache budget is a store-wide number, split evenly
+        // (floored so tiny configs stay usable).
         const uint64_t budget =
             std::max<uint64_t>(options.local_cache_bytes /
                                    static_cast<uint64_t>(num_shards),
                                1024 * 1024);
-        storages.push_back(NewCloudSstCacheStorage(
-            env, shard_dir, options.cloud, cloud_prefix, budget,
-            file_cache_stats.back()));
+        kv->storages_.push_back(NewCloudSstCacheStorage(
+            env, shard_dir, options.cloud, cloud_prefix, budget));
         break;
       }
       case SchemeKind::kRocksMash:
-        break;  // Handled above.
+        // Without a cloud every level stays local.
+        ts.cloud_level_start = options.cloud != nullptr
+                                   ? options.cloud_level_start
+                                   : config::kNumLevels;
+        ts.persistent_cache = kv->pcache_.get();
+        ts.cache_namespace = static_cast<uint64_t>(i);
+        ts.pin_hot_files = options.pin_hot_files;
+        ts.async_uploads = options.async_uploads;
+        kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
+        // wal_segments <= 1 leaves the engine its classic WAL.
+        if (options.wal_segments > 1) {
+          EWalOptions ew;
+          ew.segments = options.wal_segments;
+          kv->wals_.push_back(NewEWalManager(env, shard_dir, ew));
+          dbo.wal_manager = kv->wals_.back().get();
+        }
+        break;
     }
 
-    DBOptions dbo;
     dbo.env = env;
-    dbo.table_storage = storages.back().get();
-    dbo.block_cache = block_cache;
-    dbo.shared_resources = shared;
+    dbo.table_storage = kv->storages_.back().get();
+    dbo.shared_resources = kv->shared_resources_;
     dbo.enable_pipelined_write = options.enable_pipelined_write;
     dbo.allow_concurrent_memtable_write =
         options.allow_concurrent_memtable_write;
@@ -526,14 +464,56 @@ Status OpenKVStore(const SchemeOptions& options,
     specs.push_back(std::move(spec));
   }
 
-  std::unique_ptr<DB> db;
-  Status s = sharded ? ShardedDB::Open(specs, &db)
-                     : DB::Open(specs[0].options, options.local_dir, &db);
+  s = sharded ? ShardedDB::Open(specs, &kv->db_)
+              : DB::Open(specs[0].options, options.local_dir, &kv->db_);
   if (!s.ok()) return s;
-  *store = std::make_unique<EngineKVStore>(
-      options, std::move(db), shared, std::move(storages),
-      std::move(owned_block_cache), block_cache, std::move(file_cache_stats));
+  *store = std::move(kv);
   return Status::OK();
+}
+
+Status RestoreKVStoreFromCloud(const SchemeOptions& options,
+                               const std::string& backup_prefix,
+                               std::unique_ptr<KVStore>* store) {
+  store->reset();
+  if (options.kind != SchemeKind::kRocksMash) {
+    return Status::NotSupported(std::string("restore of a ") +
+                                SchemeName(options.kind) + " store");
+  }
+  if (options.cloud == nullptr) {
+    return Status::InvalidArgument("restore requires a cloud tier");
+  }
+  if (options.num_shards > 1) {
+    return Status::NotSupported("restore of a sharded store");
+  }
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  ObjectStore* cloud = options.cloud;
+
+  if (env->FileExists(CurrentFileName(options.local_dir))) {
+    return Status::InvalidArgument(options.local_dir,
+                                   "already contains a store");
+  }
+  Status s = env->CreateDirRecursively(options.local_dir);
+  if (!s.ok() && !env->FileExists(options.local_dir)) return s;
+
+  // Materialize every backup object into the local directory: CURRENT, the
+  // manifest, and the local-tier SSTs. The rest of the tree stays in the
+  // bucket and is discovered by the tiered storage on open.
+  std::vector<ObjectMeta> objects;
+  s = cloud->List(backup_prefix + "/", &objects);
+  if (!s.ok()) return s;
+  if (objects.empty()) {
+    return Status::NotFound("no backup under", backup_prefix);
+  }
+  for (const auto& meta : objects) {
+    std::string contents;
+    s = cloud->Get(meta.key, &contents);
+    if (!s.ok()) return s;
+    const std::string base = meta.key.substr(backup_prefix.size() + 1);
+    s = WriteStringToFile(env, contents, options.local_dir + "/" + base,
+                          /*sync=*/true);
+    if (!s.ok()) return s;
+  }
+  return OpenKVStore(options, store);
 }
 
 }  // namespace rocksmash

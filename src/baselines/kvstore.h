@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cloud/cost_meter.h"
 #include "cloud/object_store.h"
 #include "lsm/db.h"
 #include "lsm/shared_resources.h"
@@ -58,8 +59,9 @@ struct SchemeOptions {
   int wal_segments = 4;
   CacheLayout cache_layout = CacheLayout::kCompactionAware;
   bool pin_hot_files = false;
-  // Async upload pipeline (kRocksMash; see RocksMashOptions). Disable for
-  // the synchronous-upload ablation baseline.
+  // Async upload pipeline (kRocksMash): cloud-level installs enqueue their
+  // PUT on the upload pool and serve reads from the local staging copy until
+  // it is durable. Disable for the synchronous-upload ablation baseline.
   bool async_uploads = true;
   int upload_threads = 2;
 
@@ -72,14 +74,14 @@ struct SchemeOptions {
   // local_dir (and cloud prefix for cloud-backed schemes); the block cache,
   // statistics, and background lanes come from ONE SharedResources so the
   // memory and thread budgets do not scale with the shard count. The count
-  // persists in a local_dir/SHARDS marker; reopening with a different count
+  // persists in a marker under local_dir; reopening with a different count
   // fails. See DESIGN.md "Sharding & shared resources".
   int num_shards = 1;
 
-  // Process-wide shared resources for sharded opens. Null: created
-  // internally when num_shards > 1 (sized from the knobs here), unused
-  // otherwise. Pass one instance to several stores to share their block
-  // cache and background pools.
+  // Process-wide pools: block cache, flush/compaction lanes, upload and
+  // cloud-fetch pools. Null: the store creates its own, sized from the knobs
+  // here and num_shards. Pass one instance to several stores to share their
+  // block cache and background pools.
   std::shared_ptr<SharedResources> shared_resources;
 
   // Two-stage write front-end, all schemes (see DBOptions and DESIGN.md
@@ -126,99 +128,134 @@ struct SchemeOptions {
 };
 
 struct KVStoreStats {
-  TableStorageStats storage;
+  TableStorageStats storage;  // Summed over the shards
   ObjectStore::OpCounters cloud_ops;
   Cache::Stats block_cache;
   PersistentCacheStats persistent_cache;  // kRocksMash only
-  uint64_t file_cache_hits = 0;           // kCloudSstCache only
-  uint64_t file_cache_misses = 0;
-  uint64_t file_cache_bytes = 0;
   RecoveryStats recovery;
+  // Priced with the default PriceCard; request counts are scaled to a
+  // month from the hours_observed passed to Stats().
+  CostBreakdown monthly_cost;
 };
 
-// A KVStore is a scheme wrapper around one engine DB: the only virtuals are
-// the engine accessor and scheme-specific telemetry. The whole data path —
-// including the batched MultiGet and the unique_ptr iterator API — is
-// forwarded to DB non-virtually, so every scheme exposes exactly the DB
-// interface by construction instead of by hand-written duplication.
+// One store: a scheme's per-shard table storages (plus, for kRocksMash, the
+// persistent cache and eWALs) under one engine DB, all drawing on one
+// SharedResources. The whole data path -- including the batched MultiGet
+// and the unique_ptr iterator API -- is forwarded to the DB, so every scheme
+// exposes exactly the DB interface.
 class KVStore {
  public:
-  virtual ~KVStore() = default;
+  ~KVStore();
+
+  KVStore(const KVStore&) = delete;
+  KVStore& operator=(const KVStore&) = delete;
 
   // The engine underneath the scheme (owned by the store, never null).
-  virtual DB* db() const = 0;
+  DB* db() const { return db_.get(); }
 
-  virtual const char* Name() const = 0;
-  virtual KVStoreStats Stats() const = 0;
+  const char* Name() const { return SchemeName(options_.kind); }
+
+  // Storage, cache, cloud and recovery counters; hours_observed scales the
+  // cloud request counts to monthly_cost.
+  KVStoreStats Stats(double hours_observed = 1.0) const;
 
   // The Statistics object this store was opened with (nullptr if none).
-  virtual Statistics* statistics() const = 0;
+  Statistics* statistics() const { return options_.statistics; }
+
+  // Disaster recovery (kRocksMash with a cloud, unsharded): flushes the
+  // memtable, then uploads CURRENT, the manifest and every local-tier SST
+  // under `backup_prefix`. Cloud-tier SSTs are already in the bucket and are
+  // shared, not copied. After an OK return the store can be rebuilt from the
+  // bucket alone with RestoreKVStoreFromCloud.
+  Status BackupToCloud(const std::string& backup_prefix = "backup");
 
   // DB-shaped core, forwarded to db().
   Status Put(const WriteOptions& o, const Slice& key, const Slice& value) {
-    return db()->Put(o, key, value);
+    return db_->Put(o, key, value);
   }
   Status Delete(const WriteOptions& o, const Slice& key) {
-    return db()->Delete(o, key);
+    return db_->Delete(o, key);
   }
   Status Write(const WriteOptions& o, WriteBatch* batch) {
-    return db()->Write(o, batch);
+    return db_->Write(o, batch);
   }
   Status Get(const ReadOptions& o, const Slice& key, PinnableSlice* value) {
-    return db()->Get(o, key, value);
+    return db_->Get(o, key, value);
   }
   Status Get(const ReadOptions& o, const Slice& key, std::string* value) {
-    return db()->Get(o, key, value);
+    return db_->Get(o, key, value);
   }
   void MultiGet(const ReadOptions& o, const std::vector<Slice>& keys,
                 std::vector<PinnableSlice>* values,
                 std::vector<Status>* statuses) {
-    db()->MultiGet(o, keys, values, statuses);
+    db_->MultiGet(o, keys, values, statuses);
   }
   void MultiGet(const ReadOptions& o, const std::vector<Slice>& keys,
                 std::vector<std::string>* values,
                 std::vector<Status>* statuses) {
-    db()->MultiGet(o, keys, values, statuses);
+    db_->MultiGet(o, keys, values, statuses);
   }
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& o) {
-    return db()->NewIterator(o);
+    return db_->NewIterator(o);
   }
-  Status FlushMemTable() { return db()->FlushMemTable(); }
-  void WaitForCompaction() { db()->WaitForCompaction(); }
+  Status FlushMemTable() { return db_->FlushMemTable(); }
+  void WaitForCompaction() { db_->WaitForCompaction(); }
 
   // Operation tracing (see docs/TRACING.md).
   Status StartTrace(const trace::TraceOptions& trace_options,
                     const std::string& trace_file_path) {
-    return db()->StartTrace(trace_options, trace_file_path);
+    return db_->StartTrace(trace_options, trace_file_path);
   }
-  Status EndTrace() { return db()->EndTrace(); }
+  Status EndTrace() { return db_->EndTrace(); }
 
   // Engine introspection ("rocksmash.stats", "rocksmash.prometheus",
   // "rocksmash.ticker.<name>", ...), string- and map-valued.
   bool GetProperty(const Slice& property, std::string* value) {
-    return db()->GetProperty(property, value);
+    return db_->GetProperty(property, value);
   }
   bool GetProperty(const Slice& property,
                    std::map<std::string, std::string>* value) {
-    return db()->GetProperty(property, value);
+    return db_->GetProperty(property, value);
   }
+
+ private:
+  friend Status OpenKVStore(const SchemeOptions& options,
+                            std::unique_ptr<KVStore>* store);
+
+  explicit KVStore(const SchemeOptions& options);
+
+  SchemeOptions options_;
+  // Members are destroyed in reverse order: the engine first (it uses the
+  // storages and WALs), then the WALs and storages, then the persistent
+  // cache the storages read through, and the shared pools last, because
+  // everything above may schedule on them.
+  std::shared_ptr<SharedResources> shared_resources_;
+  std::unique_ptr<PersistentCache> pcache_;  // kRocksMash with a cloud
+  std::vector<std::unique_ptr<TableStorage>> storages_;  // One per shard
+  std::vector<std::unique_ptr<WalManager>> wals_;        // kRocksMash eWALs
+  std::unique_ptr<DB> db_;
 };
 
+// The one way to build a store, for every scheme and shard count.
 Status OpenKVStore(const SchemeOptions& options,
                    std::unique_ptr<KVStore>* store);
 
-// The rocksdb-cloud-style whole-SST-file cache storage, exposed for direct
-// testing.
-struct SstFileCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t bytes = 0;
-  uint64_t evictions = 0;
-};
+// Rebuilds a kRocksMash store from a BackupToCloud snapshot into
+// options.local_dir, which must not hold a store yet, then opens it.
+// Requires a cloud; sharded stores and other schemes are NotSupported.
+//
+// The snapshot is zero-copy with respect to cloud-tier SSTs: the restored
+// store references the same objects under the "tables" prefix. Run the
+// original OR the restore against a given bucket, never both -- either
+// side's compaction deletes objects the other still references.
+Status RestoreKVStoreFromCloud(const SchemeOptions& options,
+                               const std::string& backup_prefix,
+                               std::unique_ptr<KVStore>* store);
 
+// The rocksdb-cloud-style whole-SST-file cache storage, exposed for direct
+// testing. Its cache counters are reported by GetStats().
 std::unique_ptr<TableStorage> NewCloudSstCacheStorage(
     Env* env, const std::string& local_dir, ObjectStore* cloud,
-    const std::string& cloud_prefix, uint64_t cache_budget_bytes,
-    std::shared_ptr<SstFileCacheStats> stats = nullptr);
+    const std::string& cloud_prefix, uint64_t cache_budget_bytes);
 
 }  // namespace rocksmash

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "env/env.h"
+#include "lsm/filename.h"
 #include "lsm/shared_resources.h"
 #include "table/merger.h"
 #include "util/hash.h"
@@ -117,6 +118,28 @@ Status ShardedDB::ReadShardMarker(Env* env, const std::string& name,
   return Status::OK();
 }
 
+Status ShardedDB::CheckShardMarker(Env* env, const std::string& name,
+                                   int num_shards, bool create) {
+  int existing = 0;
+  Status s = ReadShardMarker(env, name, &existing);
+  if (s.ok() && existing != num_shards) {
+    return Status::InvalidArgument(
+        name, "shard count mismatch: marker has " + std::to_string(existing) +
+                  ", requested " + std::to_string(num_shards));
+  }
+  if (s.IsNotFound() && create) {
+    // A store opened unsharded has no marker, only its root CURRENT file.
+    if (env->FileExists(CurrentFileName(name))) {
+      return Status::InvalidArgument(
+          name, "shard count mismatch: holds an unsharded store, requested " +
+                    std::to_string(num_shards));
+    }
+    return WriteStringToFile(env, std::to_string(num_shards) + "\n",
+                             name + "/" + kShardMarkerFile, /*sync=*/true);
+  }
+  return s;
+}
+
 Status ShardedDB::Open(const std::vector<ShardSpec>& specs,
                        std::unique_ptr<DB>* dbptr) {
   dbptr->reset();
@@ -167,39 +190,21 @@ Status ShardedDB::Open(const DBOptions& base, const std::string& name,
   Status s = env->CreateDirRecursively(name);
   if (!s.ok()) return s;
 
-  // Persist (or verify) the shard count: the routing hash is a function of
-  // num_shards, so reopening with a different count would strand keys in
-  // directories no route reaches.
-  int existing = 0;
-  s = ReadShardMarker(env, name, &existing);
-  if (s.ok()) {
-    if (existing != num_shards) {
-      return Status::InvalidArgument(
-          "ShardedDB::Open",
-          "shard count mismatch: marker has " + std::to_string(existing) +
-              ", requested " + std::to_string(num_shards));
-    }
-  } else if (s.IsNotFound()) {
-    if (!base.create_if_missing) {
-      return Status::InvalidArgument(name, "does not exist (sharded)");
-    }
-    s = WriteStringToFile(env, std::to_string(num_shards) + "\n",
-                          name + "/" + kShardMarkerFile, /*sync=*/true);
-    if (!s.ok()) return s;
-  } else {
-    return s;
+  s = CheckShardMarker(env, name, num_shards, base.create_if_missing);
+  if (s.IsNotFound()) {
+    return Status::InvalidArgument(name, "does not exist (sharded)");
   }
+  if (!s.ok()) return s;
 
   // One SharedResources for the group: a single cache/statistics budget and
   // one flush/compaction lane pair regardless of N.
   std::shared_ptr<SharedResources> shared = base.shared_resources;
   if (shared == nullptr) {
-    SharedResourcesOptions sr;
+    SharedResourcesOptions sr = SharedResourcesForShards(
+        num_shards, base.max_background_flushes,
+        base.max_background_compactions,
+        SharedResourcesOptions().upload_threads);
     sr.statistics = base.statistics;
-    sr.flush_threads = std::max(base.max_background_flushes,
-                                std::min(num_shards, 4));
-    sr.compaction_threads = std::max(base.max_background_compactions,
-                                     std::min(num_shards, 4));
     s = SharedResources::Create(sr, &shared);
     if (!s.ok()) return s;
   }

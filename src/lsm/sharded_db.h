@@ -1,10 +1,11 @@
 // ShardedDB: a DB-implementing router that hash-partitions the user key
 // space over N independent engine shards (each a full DBImpl with its own
 // directory, WAL, memtables, version set, and blob files), while the
-// expensive process-wide resources — RAM block cache, persistent cache,
-// cloud fetch/upload pools, flush/compaction lanes, Statistics — come from
-// one SharedResources object every shard holds (see lsm/shared_resources.h
-// and DESIGN.md "Sharding & shared resources").
+// expensive process-wide resources — RAM block cache, cloud fetch/upload
+// pools, flush/compaction lanes, Statistics — come from one SharedResources
+// object every shard holds (see lsm/shared_resources.h and DESIGN.md
+// "Sharding & shared resources"). A kRocksMash store also gives all its
+// shards one persistent cache.
 //
 // Semantics:
 //   - Routing: shard = fastrange(upper 32 bits of Hash64(key, seed), N).
@@ -78,6 +79,14 @@ class ShardedDB : public DB {
   // NotFound when the DB was never opened sharded.
   static Status ReadShardMarker(Env* env, const std::string& name,
                                 int* num_shards);
+
+  // Checks the shard count persisted under `name` against num_shards: the
+  // routing hash is a function of the count, so reopening with another one
+  // would strand keys. InvalidArgument on a mismatch, counting an unsharded
+  // store at `name` as one. With no marker yet, writes one if `create` is
+  // set and returns NotFound otherwise.
+  static Status CheckShardMarker(Env* env, const std::string& name,
+                                 int num_shards, bool create);
 
   ~ShardedDB() override;
 

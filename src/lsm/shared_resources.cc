@@ -1,8 +1,21 @@
 #include "lsm/shared_resources.h"
 
+#include <algorithm>
+
 #include "util/thread_pool.h"
 
 namespace rocksmash {
+
+SharedResourcesOptions SharedResourcesForShards(int num_shards,
+                                                int flush_threads,
+                                                int compaction_threads,
+                                                int upload_threads) {
+  SharedResourcesOptions sr;
+  sr.flush_threads = std::max(flush_threads, std::min(num_shards, 4));
+  sr.compaction_threads = std::max(compaction_threads, std::min(num_shards, 4));
+  sr.upload_threads = std::max(upload_threads, std::min(num_shards, 2));
+  return sr;
+}
 
 // Keep the field checks here in sync with the SharedResourcesOptions struct
 // and the DESIGN.md "Sharding & shared resources" resource table

@@ -4,12 +4,12 @@
 // its block cache, and every TieredTableStorage owned its upload and
 // cloud-fetch pools — one DB per process made "owned" and "shared" the same
 // thing. ShardedDB breaks that assumption: N shards must share one RAM
-// block cache (one memory budget), one persistent-cache handle, one cloud
-// fetch pool, and one flush/compaction lane pair, or the process multiplies
-// its memory and thread footprint by N. SharedResources owns those
-// singletons explicitly; DBOptions / SchemeOptions / RocksMashOptions carry
-// a handle, and every layer that used to construct its own resource takes
-// it as a dependency instead. See DESIGN.md "Sharding & shared resources".
+// block cache (one memory budget), one cloud fetch pool, and one
+// flush/compaction lane pair, or the process multiplies its memory and
+// thread footprint by N. SharedResources owns those singletons explicitly;
+// DBOptions / SchemeOptions carry a handle, and every layer that used to
+// construct its own resource takes it as a dependency instead. See
+// DESIGN.md "Sharding & shared resources".
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 
 namespace rocksmash {
 
-class PersistentCache;
 class Statistics;
 class ThreadPool;
 
@@ -55,6 +54,16 @@ struct SharedResourcesOptions {
   Statistics* statistics = nullptr;
 };
 
+// The one sizing rule for the pools of a num_shards-shard group, from the
+// per-store lane knobs: the flush and compaction lanes get at least
+// min(num_shards, 4) threads and the upload pool at least
+// min(num_shards, 2), so one shard keeps exactly the knobs and N shards do
+// not queue behind one lane. The other fields keep their defaults.
+SharedResourcesOptions SharedResourcesForShards(int num_shards,
+                                                int flush_threads,
+                                                int compaction_threads,
+                                                int upload_threads);
+
 // The one validation path for SharedResourcesOptions. Returns
 // InvalidArgument naming the offending field.
 Status ValidateSharedResourcesOptions(const SharedResourcesOptions& opts);
@@ -77,14 +86,6 @@ class SharedResources {
   ThreadPool* cloud_fetch_pool() const { return fetch_pool_.get(); }
   Statistics* statistics() const { return options_.statistics; }
 
-  // Persistent-cache handle shared by every shard's tiered storage (the
-  // opener that builds the cache registers it here). Not owned; may be
-  // null when there is no cloud tier.
-  PersistentCache* persistent_cache() const { return persistent_cache_; }
-  void set_persistent_cache(PersistentCache* cache) {
-    persistent_cache_ = cache;
-  }
-
   const SharedResourcesOptions& options() const { return options_; }
 
  private:
@@ -96,7 +97,6 @@ class SharedResources {
   std::unique_ptr<ThreadPool> compaction_pool_;
   std::unique_ptr<ThreadPool> upload_pool_;
   std::unique_ptr<ThreadPool> fetch_pool_;
-  PersistentCache* persistent_cache_ = nullptr;
 };
 
 }  // namespace rocksmash

@@ -31,6 +31,11 @@ struct TableStorageStats {
   // Files installed at a cloud level whose upload is still in flight (they
   // keep serving reads from the local staging copy meanwhile).
   uint64_t pending_uploads = 0;
+  // The whole-file cache of the CloudSstCache baseline (that storage only):
+  // table opens it served, opens that downloaded the file, files evicted.
+  uint64_t file_cache_hits = 0;
+  uint64_t file_cache_misses = 0;
+  uint64_t file_cache_evictions = 0;
 };
 
 class TableStorage {

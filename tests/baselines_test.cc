@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "env/env.h"
 #include "util/clock.h"
@@ -11,11 +15,17 @@
 namespace rocksmash {
 namespace {
 
-class SchemeTest : public ::testing::TestWithParam<SchemeKind> {
+// Every scheme at one and two shards, all through OpenKVStore.
+class SchemeTest
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, int>> {
  protected:
+  SchemeKind kind() const { return std::get<0>(GetParam()); }
+  int num_shards() const { return std::get<1>(GetParam()); }
+
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/rocksmash_scheme_" +
-           std::string(SchemeName(GetParam()));
+           std::string(SchemeName(kind())) + "_" +
+           std::to_string(num_shards());
     std::filesystem::remove_all(dir_);
 
     CloudLatencyModel model;
@@ -26,14 +36,14 @@ class SchemeTest : public ::testing::TestWithParam<SchemeKind> {
     model.put_first_byte_micros = 10;
     cloud_ = NewMemObjectStore(&clock_, model);
 
-    options_.kind = GetParam();
+    options_.kind = kind();
     options_.local_dir = dir_;
-    options_.cloud =
-        GetParam() == SchemeKind::kLocalOnly ? nullptr : cloud_.get();
+    options_.cloud = kind() == SchemeKind::kLocalOnly ? nullptr : cloud_.get();
     options_.write_buffer_size = 64 * 1024;
     options_.max_file_size = 64 * 1024;
     options_.local_cache_bytes = 1 << 20;
     options_.cloud_level_start = 1;
+    options_.num_shards = num_shards();
     ASSERT_TRUE(OpenKVStore(options_, &store_).ok());
   }
 
@@ -104,21 +114,89 @@ TEST_P(SchemeTest, StatsReportStorageTier) {
   ASSERT_TRUE(store_->FlushMemTable().ok());
   store_->WaitForCompaction();
   auto stats = store_->Stats();
-  if (GetParam() == SchemeKind::kLocalOnly) {
+  if (kind() == SchemeKind::kLocalOnly) {
     EXPECT_GT(stats.storage.local_files, 0u);
     EXPECT_EQ(0u, stats.storage.cloud_files);
   } else {
     EXPECT_GT(stats.storage.cloud_files, 0u);
     EXPECT_GT(stats.cloud_ops.puts, 0u);
   }
+  EXPECT_STREQ(SchemeName(kind()), store_->Name());
+}
+
+TEST_P(SchemeTest, ReopenKeepsDataAndShardCount) {
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(store_
+                    ->Put(WriteOptions(), "key" + std::to_string(i),
+                          "value" + std::to_string(i))
+                    .ok());
+  }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  // A tail that only the WAL holds.
+  ASSERT_TRUE(store_->Put(WriteOptions(), "tail", "t").ok());
+  store_.reset();
+
+  ASSERT_TRUE(OpenKVStore(options_, &store_).ok());
+  std::string value;
+  for (int i = 0; i < 2000; i += 67) {
+    ASSERT_TRUE(
+        store_->Get(ReadOptions(), "key" + std::to_string(i), &value).ok())
+        << i;
+    EXPECT_EQ("value" + std::to_string(i), value);
+  }
+  ASSERT_TRUE(store_->Get(ReadOptions(), "tail", &value).ok());
+  EXPECT_EQ("t", value);
+  store_.reset();
+
+  // The routing hash depends on the shard count: any other count would
+  // strand keys, so it is refused and the data stays reachable.
+  SchemeOptions other = options_;
+  other.num_shards = num_shards() == 1 ? 2 : 1;
+  Status s = OpenKVStore(other, &store_);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, store_.get());
+  ASSERT_TRUE(OpenKVStore(options_, &store_).ok());
+  ASSERT_TRUE(store_->Get(ReadOptions(), "key0", &value).ok());
+}
+
+// Backup and restore belong to unsharded kRocksMash stores alone.
+TEST_P(SchemeTest, BackupAndRestoreNeedUnshardedRocksMash) {
+  ASSERT_TRUE(store_->Put(WriteOptions(), "k", "v").ok());
+  const bool supported =
+      kind() == SchemeKind::kRocksMash && num_shards() == 1;
+  Status s = store_->BackupToCloud("backup");
+  EXPECT_EQ(supported, s.ok()) << s.ToString();
+  EXPECT_EQ(!supported, s.IsNotSupported()) << s.ToString();
+
+  SchemeOptions restore = options_;
+  restore.local_dir = dir_ + "_restore";
+  std::filesystem::remove_all(restore.local_dir);
+  std::unique_ptr<KVStore> restored;
+  s = RestoreKVStoreFromCloud(restore, "backup", &restored);
+  EXPECT_EQ(!supported, s.IsNotSupported()) << s.ToString();
+  if (supported) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    std::string value;
+    ASSERT_TRUE(restored->Get(ReadOptions(), "k", &value).ok());
+    EXPECT_EQ("v", value);
+    restored.reset();
+  } else {
+    EXPECT_FALSE(std::filesystem::exists(restore.local_dir));
+  }
+  std::filesystem::remove_all(restore.local_dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeTest,
-    ::testing::Values(SchemeKind::kLocalOnly, SchemeKind::kCloudOnly,
-                      SchemeKind::kCloudSstCache, SchemeKind::kRocksMash),
-    [](const ::testing::TestParamInfo<SchemeKind>& param_info) {
-      return SchemeName(param_info.param);
+    ::testing::Combine(::testing::Values(SchemeKind::kLocalOnly,
+                                         SchemeKind::kCloudOnly,
+                                         SchemeKind::kCloudSstCache,
+                                         SchemeKind::kRocksMash),
+                       ::testing::Values(1, 2)),
+    [](const ::testing::TestParamInfo<std::tuple<SchemeKind, int>>&
+           param_info) {
+      return std::string(SchemeName(std::get<0>(param_info.param))) + "_" +
+             std::to_string(std::get<1>(param_info.param)) + "Shard";
     });
 
 TEST(CloudSstCacheTest, FileCacheHitsOnRepeatedOpen) {
@@ -160,6 +238,72 @@ TEST(CloudSstCacheTest, FileCacheHitsOnRepeatedOpen) {
   std::filesystem::remove_all(dir);
 }
 
+// Readers that keep missing the whole-file cache race a thread polling
+// Stats(): the cache counters are written and read under the storage's lock,
+// which the TSan build checks.
+TEST(CloudSstCacheTest, StatsPollingRacesFileCacheMisses) {
+  std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_race";
+  std::filesystem::remove_all(dir);
+  SimClock clock;
+  CloudLatencyModel model;
+  model.jitter_micros = 0;
+  auto cloud = NewMemObjectStore(&clock, model);
+
+  SchemeOptions options;
+  options.kind = SchemeKind::kCloudSstCache;
+  options.local_dir = dir;
+  options.cloud = cloud.get();
+  options.write_buffer_size = 64 * 1024;
+  options.max_file_size = 64 * 1024;
+  options.local_cache_bytes = 1 << 20;  // A third of the data below
+  options.max_open_files = 2;           // Every read reopens its table
+  options.compress_blocks = false;
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(options, &store).ok());
+  constexpr int kKeys = 3000;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(store
+                    ->Put(WriteOptions(), "key" + std::to_string(i),
+                          std::string(1000, static_cast<char>('a' + i % 26)))
+                    .ok());
+  }
+  ASSERT_TRUE(store->FlushMemTable().ok());
+  store->WaitForCompaction();
+
+  std::atomic<int> readers_left{3};
+  std::atomic<int> read_errors{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 3; r++) {
+    threads.emplace_back([&, r] {
+      std::string value;
+      for (int i = r; i < kKeys; i += 7) {
+        if (!store->Get(ReadOptions(), "key" + std::to_string(i), &value)
+                 .ok()) {
+          read_errors.fetch_add(1);
+        }
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  uint64_t polls = 0;
+  while (readers_left.load() > 0) {
+    const KVStoreStats stats = store->Stats();
+    EXPECT_LE(stats.storage.file_cache_evictions,
+              stats.storage.file_cache_misses);
+    polls++;
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(0, read_errors.load());
+  EXPECT_GT(polls, 0u);
+  const KVStoreStats stats = store->Stats();
+  EXPECT_GT(stats.storage.file_cache_misses, 0u);
+  EXPECT_GT(stats.storage.file_cache_evictions, 0u);
+  EXPECT_LE(stats.storage.local_bytes, 2u << 20);
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CloudSstCacheTest, EvictionBoundsCacheBytes) {
   std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_evict";
   std::filesystem::remove_all(dir);
@@ -168,9 +312,8 @@ TEST(CloudSstCacheTest, EvictionBoundsCacheBytes) {
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  auto stats = std::make_shared<SstFileCacheStats>();
   auto storage = NewCloudSstCacheStorage(Env::Default(), dir, cloud.get(),
-                                         "tables", /*budget=*/4096, stats);
+                                         "tables", /*budget=*/4096);
 
   // Create three small "tables" via staging + install, then open them all.
   for (uint64_t n = 1; n <= 3; n++) {
@@ -187,7 +330,7 @@ TEST(CloudSstCacheTest, EvictionBoundsCacheBytes) {
     EXPECT_EQ(3000u, size);
   }
   // Budget 4096 holds at most one 3000-byte file plus the newest.
-  EXPECT_GT(stats->evictions, 0u);
+  EXPECT_GT(storage->GetStats().file_cache_evictions, 0u);
   EXPECT_LE(storage->GetStats().local_bytes, 2u * 3000u);
   std::filesystem::remove_all(dir);
 }

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/kvstore.h"
 #include "cloud/object_store.h"
 #include "env/env.h"
 #include "lsm/db.h"
@@ -20,7 +21,6 @@
 #include "mash/metadata_store.h"
 #include "mash/persistent_cache.h"
 #include "mash/placement.h"
-#include "mash/rocksmash_db.h"
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "trace/trace_tools.h"
@@ -343,7 +343,7 @@ TEST(ConcurrencyStressTest, MultiGetRacesFlushAndCompaction) {
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions options;
+  SchemeOptions options;
   options.local_dir = dir + "/db";
   options.cloud = cloud.get();
   options.cloud_level_start = 0;  // Every SST uploads: batches constantly
@@ -353,10 +353,10 @@ TEST(ConcurrencyStressTest, MultiGetRacesFlushAndCompaction) {
   options.max_file_size = 16 * 1024;
   options.max_bytes_for_level_base = 64 * 1024;
   options.block_size = 1024;
-  options.persistent_cache_bytes = 32 * 1024;
+  options.local_cache_bytes = 32 * 1024;
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(options, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
 
   constexpr uint64_t kKeys = 1500;
   WriteOptions wo;
@@ -443,7 +443,7 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions options;
+  SchemeOptions options;
   options.local_dir = dir + "/db";
   options.cloud = cloud.get();
   options.cloud_level_start = 0;  // Scans stream from cloud-resident SSTs.
@@ -452,11 +452,11 @@ TEST(ConcurrencyStressTest, ScansRaceFlushCompactionAndPrefetch) {
   options.max_file_size = 16 * 1024;
   options.max_bytes_for_level_base = 64 * 1024;
   options.block_size = 1024;
-  options.persistent_cache_bytes = 16 * 1024;
+  options.local_cache_bytes = 16 * 1024;
   options.prefix_length = 6;  // "key-00".."key-99" buckets of KeyOf()
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(options, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(options, &db).ok());
 
   constexpr uint64_t kKeys = 1500;
   WriteOptions wo;

@@ -1,16 +1,16 @@
 // Tests for the RocksMash core: metadata store, persistent cache (both
-// layouts), tiered placement, and the RocksMashDB facade.
+// layouts), tiered placement, and the kRocksMash store end to end.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "baselines/kvstore.h"
 #include "cloud/object_store.h"
 #include "env/env.h"
 #include "lsm/filename.h"
 #include "mash/metadata_store.h"
 #include "mash/persistent_cache.h"
 #include "mash/placement.h"
-#include "mash/rocksmash_db.h"
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "util/clock.h"
@@ -456,16 +456,16 @@ TEST_F(PlacementTest, HeatPinningDownloadsHotFile) {
   EXPECT_TRUE(storage_->IsLocal(18));  // Pinned now.
 }
 
-// ---------- RocksMashDB facade ----------
+// ---------- kRocksMash store ----------
 
-TEST(RocksMashDBTest, EndToEnd) {
+TEST(RocksMashStoreTest, EndToEnd) {
   std::string dir = TestDir("mashdb");
   SimClock clock;
   CloudLatencyModel model;
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
@@ -473,8 +473,8 @@ TEST(RocksMashDBTest, EndToEnd) {
   opt.max_file_size = 64 * 1024;
   opt.wal_segments = 4;
 
-  std::unique_ptr<RocksMashDB> db;
-  ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+  std::unique_ptr<KVStore> db;
+  ASSERT_TRUE(OpenKVStore(opt, &db).ok());
 
   // Enough data to reach cloud levels.
   for (int i = 0; i < 5000; i++) {
@@ -494,15 +494,16 @@ TEST(RocksMashDBTest, EndToEnd) {
   }
 
   auto stats = db->Stats();
-  EXPECT_GT(stats.storage.cloud_files, 0u);     // Data actually tiered.
-  EXPECT_GT(stats.cache.metadata.slabs, 0u);    // Metadata region in use.
+  EXPECT_GT(stats.storage.cloud_files, 0u);  // Data actually tiered.
+  // Metadata region in use.
+  EXPECT_GT(stats.persistent_cache.metadata.slabs, 0u);
   EXPECT_GT(stats.monthly_cost.total(), 0.0);
 
   db.reset();
   std::filesystem::remove_all(dir);
 }
 
-TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
+TEST(RocksMashStoreTest, BackupAndRestoreFromBucketAlone) {
   std::string dir = TestDir("mash_backup");
   std::string restore_dir = TestDir("mash_restore");
   SimClock clock;
@@ -513,7 +514,7 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   model.list_micros = 1;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
@@ -521,8 +522,8 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   opt.max_file_size = 64 * 1024;
 
   {
-    std::unique_ptr<RocksMashDB> db;
-    ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+    std::unique_ptr<KVStore> db;
+    ASSERT_TRUE(OpenKVStore(opt, &db).ok());
     for (int i = 0; i < 4000; i++) {
       ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
                           "value" + std::to_string(i))
@@ -535,11 +536,11 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   }
   std::filesystem::remove_all(dir);
 
-  RocksMashOptions ropt = opt;
+  SchemeOptions ropt = opt;
   ropt.local_dir = restore_dir;
-  std::unique_ptr<RocksMashDB> restored;
+  std::unique_ptr<KVStore> restored;
   ASSERT_TRUE(
-      RocksMashDB::RestoreFromCloud(ropt, "backup", &restored).ok());
+      RestoreKVStoreFromCloud(ropt, "backup", &restored).ok());
   std::string value;
   for (int i = 0; i < 4000; i += 37) {
     ASSERT_TRUE(
@@ -549,36 +550,44 @@ TEST(RocksMashDBTest, BackupAndRestoreFromBucketAlone) {
   }
 
   // Restoring into a non-empty directory is refused.
-  std::unique_ptr<RocksMashDB> dup;
+  std::unique_ptr<KVStore> dup;
   EXPECT_FALSE(
-      RocksMashDB::RestoreFromCloud(ropt, "backup", &dup).ok());
+      RestoreKVStoreFromCloud(ropt, "backup", &dup).ok());
+
+  // So is restoring into a sharded layout: a backup is one shard's tree.
+  SchemeOptions sharded = opt;
+  sharded.local_dir = TestDir("mash_restore_sharded");
+  sharded.num_shards = 2;
+  Status s = RestoreKVStoreFromCloud(sharded, "backup", &dup);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_EQ(nullptr, dup.get());
   restored.reset();
   std::filesystem::remove_all(restore_dir);
 }
 
-TEST(RocksMashDBTest, RestoreMissingBackupFails) {
+TEST(RocksMashStoreTest, RestoreMissingBackupFails) {
   std::string dir = TestDir("mash_norestore");
   SimClock clock;
   CloudLatencyModel model;
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
-  std::unique_ptr<RocksMashDB> db;
-  Status s = RocksMashDB::RestoreFromCloud(opt, "nothing-here", &db);
+  std::unique_ptr<KVStore> db;
+  Status s = RestoreKVStoreFromCloud(opt, "nothing-here", &db);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
   std::filesystem::remove_all(dir);
 }
 
-TEST(RocksMashDBTest, ReopenRecoversFromEWalAndCloud) {
+TEST(RocksMashStoreTest, ReopenRecoversFromEWalAndCloud) {
   std::string dir = TestDir("mashdb_reopen");
   SimClock clock;
   CloudLatencyModel model;
   model.jitter_micros = 0;
   auto cloud = NewMemObjectStore(&clock, model);
 
-  RocksMashOptions opt;
+  SchemeOptions opt;
   opt.local_dir = dir;
   opt.cloud = cloud.get();
   opt.cloud_level_start = 1;
@@ -587,8 +596,8 @@ TEST(RocksMashDBTest, ReopenRecoversFromEWalAndCloud) {
   opt.wal_segments = 4;
 
   {
-    std::unique_ptr<RocksMashDB> db;
-    ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+    std::unique_ptr<KVStore> db;
+    ASSERT_TRUE(OpenKVStore(opt, &db).ok());
     for (int i = 0; i < 3000; i++) {
       ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
                           "value" + std::to_string(i))
@@ -606,8 +615,8 @@ TEST(RocksMashDBTest, ReopenRecoversFromEWalAndCloud) {
   }
 
   {
-    std::unique_ptr<RocksMashDB> db;
-    ASSERT_TRUE(RocksMashDB::Open(opt, &db).ok());
+    std::unique_ptr<KVStore> db;
+    ASSERT_TRUE(OpenKVStore(opt, &db).ok());
     std::string value;
     for (int i = 0; i < 3100; i += 61) {
       ASSERT_TRUE(

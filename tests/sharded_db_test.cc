@@ -457,6 +457,28 @@ TEST(ShardedDBTest, PropertyAggregationAndShardPassthrough) {
 
 // ---------- Shared resources ----------
 
+// One shard keeps exactly the per-store lane knobs; more shards get at
+// least one lane thread each, capped so the footprint stops growing.
+TEST(ShardedDBTest, SharedResourcesSizedFromShardCount) {
+  SharedResourcesOptions one = SharedResourcesForShards(1, 1, 1, 2);
+  EXPECT_EQ(1, one.flush_threads);
+  EXPECT_EQ(1, one.compaction_threads);
+  EXPECT_EQ(2, one.upload_threads);
+  EXPECT_EQ(8, one.cloud_fetch_threads);
+  EXPECT_EQ(4, one.block_cache_shard_bits);  // 16 stripes
+  EXPECT_EQ(1, SharedResourcesForShards(1, 1, 1, 1).upload_threads);
+  EXPECT_EQ(3, SharedResourcesForShards(1, 3, 1, 2).flush_threads);
+
+  SharedResourcesOptions eight = SharedResourcesForShards(8, 1, 2, 1);
+  EXPECT_EQ(4, eight.flush_threads);
+  EXPECT_EQ(4, eight.compaction_threads);
+  EXPECT_EQ(2, eight.upload_threads);
+  EXPECT_EQ(6, SharedResourcesForShards(8, 6, 1, 1).flush_threads);
+  EXPECT_TRUE(ValidateSharedResourcesOptions(
+                  SharedResourcesForShards(1, 0, 0, 0))
+                  .ok());
+}
+
 TEST(ShardedDBTest, ShardsDrawFromOneSharedResources) {
   const std::string name = TestDir("shared");
   std::filesystem::remove_all(name);
