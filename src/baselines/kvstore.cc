@@ -74,10 +74,8 @@ class CloudSstCacheStorage final : public TableStorage {
 
   Status OpenTable(uint64_t number, std::unique_ptr<BlockSource>* source,
                    uint64_t* file_size) override {
-    Status s = EnsureCached(number, file_size);
-    if (!s.ok()) return s;
     std::unique_ptr<RandomAccessFile> file;
-    s = env_->NewRandomAccessFile(CachePath(number), &file);
+    Status s = OpenCached(number, file_size, &file);
     if (!s.ok()) return s;
     *source = std::make_unique<OwningSource>(std::move(file));
     return Status::OK();
@@ -148,7 +146,14 @@ class CloudSstCacheStorage final : public TableStorage {
     return TableFileName(CacheDir(), number);
   }
 
-  Status EnsureCached(uint64_t number, uint64_t* file_size) {
+  // Opens the cached copy of `number`, downloading it first on a miss. The
+  // file is opened under mu_, so a concurrent miss cannot evict and delete
+  // it in between. An open handle outlives the unlink (POSIX; MemEnv keeps
+  // the contents alive too), so a reader keeps reading a file evicted under
+  // it. local_cache_bytes counts indexed files only: an evicted file still
+  // open holds its disk space, uncounted, until its last reader closes it.
+  Status OpenCached(uint64_t number, uint64_t* file_size,
+                    std::unique_ptr<RandomAccessFile>* file) {
     MutexLock l(&mu_);
     auto it = cached_.find(number);
     if (it != cached_.end()) {
@@ -157,7 +162,7 @@ class CloudSstCacheStorage final : public TableStorage {
       lru_.push_back(number);
       *file_size = it->second;
       stats_.file_cache_hits++;
-      return Status::OK();
+      return env_->NewRandomAccessFile(CachePath(number), file);
     }
     stats_.file_cache_misses++;
 
@@ -174,6 +179,7 @@ class CloudSstCacheStorage final : public TableStorage {
     lru_.push_back(number);
     *file_size = contents.size();
 
+    // The newest entry is never the victim: the loop keeps the last one.
     while (cache_bytes_ > budget_ && lru_.size() > 1) {
       uint64_t victim = lru_.front();
       lru_.pop_front();
@@ -186,7 +192,7 @@ class CloudSstCacheStorage final : public TableStorage {
         stats_.file_cache_evictions++;
       }
     }
-    return Status::OK();
+    return env_->NewRandomAccessFile(CachePath(number), file);
   }
 
   Env* env_;

@@ -152,12 +152,15 @@ class CloudBlockSource final : public BlockSource {
     return CloudGet(offset, n, out);
   }
 
-  // A scan's miss: fetch the block and the planned ones after it (less any
-  // already in the persistent cache at the tail, or covered by a pending
-  // fetch) in one GET on the calling thread, which needs the block now.
-  Status ReadScanBlock(const BlockHandle& handle, const ReadaheadPlan& plan,
-                       BlockContents* result,
-                       std::shared_ptr<BlockRange>* range) override {
+  // A scan's miss: fetch the block and the first planned window after it
+  // (less any blocks already in the persistent cache at its tail, or covered
+  // by a pending fetch) in one GET on the calling thread, which needs the
+  // block now. Each later window is planned as Prefetch plans one and
+  // started on the fetch pool first, so its GET overlaps with this one.
+  Status ReadScanBlock(
+      const BlockHandle& handle, const ReadaheadPlan& plan,
+      BlockContents* result,
+      std::vector<std::shared_ptr<BlockRange>>* ranges) override {
     Touch(1);
     BlockFetchRequest r;
     r.handle = handle;
@@ -165,10 +168,14 @@ class CloudBlockSource final : public BlockSource {
       *result = std::move(r.contents);
       return r.status;
     }
-    std::vector<BlockHandle> next = plan();
-    while (!next.empty() && InPcache(next.back())) next.pop_back();
+    std::vector<std::vector<BlockHandle>> windows = plan();
+    if (windows.empty()) windows.emplace_back();  // the block alone
+    for (size_t w = 0; w < windows.size(); w++) {
+      TrimPcached(&windows[w], /*head=*/w > 0);
+    }
     std::shared_ptr<CloudFetch> fetch;
     bool joined;
+    std::vector<std::shared_ptr<CloudFetch>> ahead;
     {
       MutexLock l(&mu_);
       fetch = PendingLocked(handle);
@@ -176,11 +183,20 @@ class CloudBlockSource final : public BlockSource {
       if (!joined) {
         fetch = NewFetchLocked(handle.offset());
         fetch->Add(handle, BlockKind::kData);
-        for (const BlockHandle& h : next) {
+        for (const BlockHandle& h : windows[0]) {
           if (PendingLocked(h) != nullptr) break;
           fetch->Add(h, BlockKind::kData);
         }
       }
+      for (size_t w = 1; w < windows.size(); w++) {
+        std::shared_ptr<CloudFetch> next = PlanLocked(windows[w]);
+        if (next != nullptr) ahead.push_back(std::move(next));
+      }
+    }
+    ranges->push_back(fetch);
+    for (std::shared_ptr<CloudFetch>& next : ahead) {
+      Start(next);
+      ranges->push_back(std::move(next));
     }
     if (joined) {
       PerfCount(&PerfContext::readahead_hit_count);
@@ -188,35 +204,21 @@ class CloudBlockSource final : public BlockSource {
       CountScanFetch(*fetch);
       Run(fetch.get());
     }
-    *range = fetch;
     return ReadFrom(fetch.get(), handle, BlockKind::kData, result, joined);
   }
 
-  // Scan read-ahead: the same planning, run on the shared fetch pool so the
-  // GET overlaps with the scan consuming the blocks before it.
+  // Scan read-ahead: one window, run on the shared fetch pool so the GET
+  // overlaps with the scan consuming the blocks before it.
   std::shared_ptr<BlockRange> Prefetch(const BlockHandle* handles,
                                        size_t n) override {
-    size_t first = 0;
-    size_t last = n;
-    while (first < last && InPcache(handles[first])) first++;
-    while (first < last && InPcache(handles[last - 1])) last--;
+    std::vector<BlockHandle> window(handles, handles + n);
+    TrimPcached(&window, /*head=*/true);
     std::shared_ptr<CloudFetch> fetch;
     {
       MutexLock l(&mu_);
-      while (first < last && PendingLocked(handles[first]) != nullptr) first++;
-      if (first == last) return nullptr;
-      fetch = NewFetchLocked(handles[first].offset());
-      for (size_t i = first; i < last && PendingLocked(handles[i]) == nullptr;
-           i++) {
-        fetch->Add(handles[i], BlockKind::kData);
-      }
+      fetch = PlanLocked(window);
     }
-    CountScanFetch(*fetch);
-    ThreadPool* pool = storage_->read_fetch_pool();
-    if (pool == nullptr ||
-        !pool->Schedule([this, fetch] { Run(fetch.get()); })) {
-      Run(fetch.get());  // no pool, or it is shutting down
-    }
+    if (fetch != nullptr) Start(fetch);
     return fetch;
   }
 
@@ -274,9 +276,47 @@ class CloudBlockSource final : public BlockSource {
     return inflight_.back();
   }
 
+  // Drops the blocks already in the persistent cache from the tail of a
+  // planned window, and from its head too when `head`.
+  void TrimPcached(std::vector<BlockHandle>* window, bool head) {
+    while (!window->empty() && InPcache(window->back())) window->pop_back();
+    if (!head) return;
+    size_t cached = 0;
+    while (cached < window->size() && InPcache((*window)[cached])) cached++;
+    window->erase(window->begin(), window->begin() + cached);
+  }
+
+  // A new fetch of `window`'s blocks after those a pending fetch already
+  // covers, up to the next covered one; nullptr when none is left.
+  std::shared_ptr<CloudFetch> PlanLocked(const std::vector<BlockHandle>& window)
+      EXCLUSIVE_LOCKS_REQUIRED(mu_) {
+    size_t first = 0;
+    while (first < window.size() && PendingLocked(window[first]) != nullptr) {
+      first++;
+    }
+    if (first == window.size()) return nullptr;
+    std::shared_ptr<CloudFetch> fetch = NewFetchLocked(window[first].offset());
+    for (size_t i = first;
+         i < window.size() && PendingLocked(window[i]) == nullptr; i++) {
+      fetch->Add(window[i], BlockKind::kData);
+    }
+    return fetch;
+  }
+
   void CountScanFetch(const CloudFetch& fetch) {
     RecordTick(statistics_, SCAN_READAHEAD_ISSUED);
     RecordTick(statistics_, SCAN_READAHEAD_BYTES, fetch.limit - fetch.begin);
+  }
+
+  // Starts a read-ahead fetch on the shared fetch pool, or runs it inline
+  // when there is no pool or it is shutting down.
+  void Start(const std::shared_ptr<CloudFetch>& fetch) {
+    CountScanFetch(*fetch);
+    ThreadPool* pool = storage_->read_fetch_pool();
+    if (pool == nullptr ||
+        !pool->Schedule([this, fetch] { Run(fetch.get()); })) {
+      Run(fetch.get());
+    }
   }
 
   // Performs `fetch`'s GET, admits its data blocks to the persistent cache,
@@ -349,7 +389,17 @@ class CloudBlockSource final : public BlockSource {
   // this one is a read-ahead hit.
   Status ReadFrom(CloudFetch* fetch, const BlockHandle& handle, BlockKind kind,
                   BlockContents* result, bool ahead) {
+    bool done;
     {
+      MutexLock l(&mu_);
+      done = fetch->done;
+    }
+    if (!done) {
+      // Timed outside mu_: the scopes report after the lock is released.
+      StopWatch wait_watch(statistics_, CLOUD_FETCH_WAIT_US);
+      trace::SpanTimer wait_span(trace::kSpanFetchWait);
+      wait_span.set_detail(number_);
+      PerfScope wait_scope(&PerfContext::cloud_fetch_wait_time);
       MutexLock l(&mu_);
       while (!fetch->done) cv_.Wait();
     }

@@ -108,10 +108,10 @@ void BlockSource::ReadBlocks(BlockFetchRequest* requests, size_t n,
   }
 }
 
-Status BlockSource::ReadScanBlock(const BlockHandle& handle,
-                                  const ReadaheadPlan& /*plan*/,
-                                  BlockContents* result,
-                                  std::shared_ptr<BlockRange>* /*range*/) {
+Status BlockSource::ReadScanBlock(
+    const BlockHandle& handle, const ReadaheadPlan& /*plan*/,
+    BlockContents* result,
+    std::vector<std::shared_ptr<BlockRange>>* /*ranges*/) {
   // Local sources pay no per-request latency worth amortizing.
   return ReadBlock(handle, BlockKind::kData, result);
 }

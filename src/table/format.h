@@ -121,8 +121,9 @@ class BlockRange {
 };
 
 // The data blocks a scan will read after the one it needs now, in file
-// order, up to its current read-ahead window.
-using ReadaheadPlan = std::function<std::vector<BlockHandle>()>;
+// order, split into read-ahead windows: the first extends the block needed
+// now, each later one is a range GET of its own behind it.
+using ReadaheadPlan = std::function<std::vector<std::vector<BlockHandle>>()>;
 
 // BlockSource: where the reader obtains raw block bytes. The plain
 // implementation reads from a RandomAccessFile; RocksMash plugs in a source
@@ -145,13 +146,14 @@ class BlockSource {
   virtual Status ReadRaw(uint64_t offset, size_t n, std::string* out) = 0;
   // Streaming-scan read of data block `handle`. When the block has to come
   // from a high-latency store, the source calls `plan` and fetches the block
-  // and the planned ones in one range GET; *range is then that GET, or a
-  // pending one the block joined, for the scan to read the rest from. The
-  // default is ReadBlock, leaving *range empty.
-  virtual Status ReadScanBlock(const BlockHandle& handle,
-                               const ReadaheadPlan& plan,
-                               BlockContents* result,
-                               std::shared_ptr<BlockRange>* range);
+  // and the first window in one range GET on the calling thread, after
+  // starting each later window as an asynchronous range GET, so they all
+  // overlap. *ranges then holds, in file order, that GET (or a pending one
+  // the block joined) and every later one started, for the scan to read the
+  // rest from. The default is ReadBlock, leaving *ranges empty.
+  virtual Status ReadScanBlock(
+      const BlockHandle& handle, const ReadaheadPlan& plan,
+      BlockContents* result, std::vector<std::shared_ptr<BlockRange>>* ranges);
   // Keeps a streaming scan ahead: starts one asynchronous range GET over
   // `handles` (contiguous, file order), less the blocks already local at
   // either end, and returns it. nullptr when nothing needs fetching, which

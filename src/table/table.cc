@@ -154,12 +154,15 @@ std::unique_ptr<Iterator> Table::NewBlockIterator(
 //  * Streaming readahead: a forward scan reads the data blocks that miss the
 //    RAM block cache through BlockSource::ReadScanBlock. The first one that
 //    has to come from the cloud is fetched in one range GET together with
-//    the blocks after it, up to kInitialReadaheadWindow. From then on, as
-//    soon as the scan enters the last window fetched, the next one, twice
-//    as large up to TableIterOptions::scan_readahead_bytes, is started with
-//    BlockSource::Prefetch while the current blocks are consumed. The
-//    iterator keeps its fetches until it has read past them. A scan whose
-//    blocks are all cached plans nothing; any Seek starts over.
+//    the blocks after it, up to kInitialReadaheadWindow; the same call
+//    plans the next window, twice as large up to
+//    TableIterOptions::scan_readahead_bytes, which the source starts first,
+//    so the two GETs overlap. From then on, as soon as the scan enters the
+//    last window planned, the next one, twice as large again up to the
+//    budget, is started with BlockSource::Prefetch while the current blocks
+//    are consumed. The iterator keeps its fetches until it has read past
+//    them. A scan whose blocks are all cached plans nothing; any Seek starts
+//    over.
 namespace {
 
 constexpr uint64_t kInitialReadaheadWindow = 16 * 1024;
@@ -319,26 +322,63 @@ class TwoLevelIterator final : public Iterator {
   }
 
   // A data block of a forward scan missed the RAM block cache: serve it from
-  // one of this scan's fetches, or read it through the source, which plans
-  // the first window from here if the block has to come from the cloud.
+  // one of this scan's fetches, or read it through the source. If the block
+  // has to come from the cloud, the source fetches it with the first window
+  // after it. On the scan's first such miss since the Seek, the plan adds
+  // the second window, twice as large up to the budget, which the source
+  // starts at the same time instead of after the first GET returns.
   Status ReadMissedBlock(const BlockHandle& handle, BlockContents* contents) {
     DropFetchesBefore(handle.offset());
     for (const auto& fetch : fetches_) {
       if (fetch->Covers(handle)) return fetch->Read(handle, contents);
     }
-    const uint64_t window =
+    const uint64_t first =
         std::min(kInitialReadaheadWindow, iopts_.scan_readahead_bytes);
-    std::shared_ptr<BlockRange> fetch;
-    Status s = table_->ReadScanBlock(
-        handle,
-        [&] { return HandlesIn(BlockEnd(handle), handle.offset() + window); },
-        contents, &fetch);
-    if (fetch != nullptr) {
-      horizon_ = std::max(horizon_, fetch->end());
-      window_ = std::max(window_, window);
-      fetches_.push_back(std::move(fetch));
+    // Once planned ahead, KeepAhead keeps the scan ahead on its own.
+    const uint64_t second =
+        horizon_ == 0 ? std::min(2 * first, iopts_.scan_readahead_bytes) : 0;
+    uint64_t planned = 0;
+    auto plan = [&] { return PlanWindows(handle, first, second, &planned); };
+    std::vector<std::shared_ptr<BlockRange>> ranges;
+    Status s = table_->ReadScanBlock(handle, plan, contents, &ranges);
+    if (!ranges.empty()) {
+      horizon_ = std::max(horizon_, planned);
+      window_ = std::max(window_, second > 0 ? second : first);
+      for (std::shared_ptr<BlockRange>& range : ranges) {
+        horizon_ = std::max(horizon_, range->end());
+        fetches_.push_back(std::move(range));
+      }
     }
     return s;
+  }
+
+  // The data blocks after `handle` in two windows: those ending within
+  // `first` bytes of its start, then those within `second` bytes after
+  // them. *planned is set to the end of the last block planned.
+  std::vector<std::vector<BlockHandle>> PlanWindows(const BlockHandle& handle,
+                                                    uint64_t first,
+                                                    uint64_t second,
+                                                    uint64_t* planned) {
+    std::vector<BlockHandle> head =
+        HandlesIn(BlockEnd(handle), handle.offset() + first + second);
+    size_t split = 0;
+    while (split < head.size() &&
+           BlockEnd(head[split]) <= handle.offset() + first) {
+      split++;
+    }
+    std::vector<BlockHandle> tail(head.begin() + split, head.end());
+    head.resize(split);
+    if (!tail.empty()) {
+      const uint64_t limit = tail.front().offset() + second;
+      while (!tail.empty() && BlockEnd(tail.back()) > limit) tail.pop_back();
+    }
+    *planned = BlockEnd(handle);
+    if (!head.empty()) *planned = BlockEnd(head.back());
+    if (!tail.empty()) *planned = BlockEnd(tail.back());
+    std::vector<std::vector<BlockHandle>> windows;
+    windows.push_back(std::move(head));
+    windows.push_back(std::move(tail));
+    return windows;
   }
 
   // Once this scan has fetched from the cloud, keeps it double-buffered:
@@ -463,17 +503,25 @@ bool Table::InBlockCache(const BlockHandle& handle) const {
   return true;
 }
 
-Status Table::ReadScanBlock(const BlockHandle& handle,
-                            const ReadaheadPlan& plan, BlockContents* result,
-                            std::shared_ptr<BlockRange>* range) const {
+Status Table::ReadScanBlock(
+    const BlockHandle& handle, const ReadaheadPlan& plan,
+    BlockContents* result,
+    std::vector<std::shared_ptr<BlockRange>>* ranges) const {
   return rep_->source->ReadScanBlock(
       handle,
       [&] {
-        std::vector<BlockHandle> next = plan();
-        while (!next.empty() && InBlockCache(next.back())) next.pop_back();
-        return next;
+        std::vector<std::vector<BlockHandle>> windows = plan();
+        for (size_t w = 0; w < windows.size(); w++) {
+          std::vector<BlockHandle>& next = windows[w];
+          while (!next.empty() && InBlockCache(next.back())) next.pop_back();
+          if (w == 0) continue;  // the first window extends `handle`
+          size_t cached = 0;
+          while (cached < next.size() && InBlockCache(next[cached])) cached++;
+          next.erase(next.begin(), next.begin() + cached);
+        }
+        return windows;
       },
-      result, range);
+      result, ranges);
 }
 
 std::shared_ptr<BlockRange> Table::PrefetchBlocks(const BlockHandle* handles,

@@ -101,11 +101,12 @@ class Table {
   bool PrefixRuledOut(Iterator* index_iter, const Slice& target) const;
 
   // Streaming-scan read of a data block that missed the RAM block cache (see
-  // BlockSource::ReadScanBlock). Planned blocks at the tail that are already
-  // in the RAM block cache are left out of the fetch.
+  // BlockSource::ReadScanBlock). Planned blocks already in the RAM block
+  // cache at the tail of a window, or at the head of a later one, are left
+  // out of its fetch.
   Status ReadScanBlock(const BlockHandle& handle, const ReadaheadPlan& plan,
                        BlockContents* result,
-                       std::shared_ptr<BlockRange>* range) const;
+                       std::vector<std::shared_ptr<BlockRange>>* ranges) const;
 
   // Starts the asynchronous fetch of upcoming blocks, less those at either
   // end already in the RAM block cache (see BlockSource::Prefetch).

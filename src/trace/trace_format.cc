@@ -39,6 +39,7 @@ const char* const kSpanKindNames[] = {
     "upload_job",    // kSpanUploadJob
     "pcache_admit",  // kSpanPcacheAdmit
     "pcache_evict",  // kSpanPcacheEvict
+    "fetch_wait",    // kSpanFetchWait
 };
 static_assert(sizeof(kSpanKindNames) / sizeof(kSpanKindNames[0]) ==
                   SPAN_KIND_MAX,

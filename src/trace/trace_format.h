@@ -86,6 +86,7 @@ enum SpanKind : uint8_t {
   kSpanUploadJob,       // whole async upload job (read + PUT + install)
   kSpanPcacheAdmit,     // persistent-cache block admission
   kSpanPcacheEvict,     // persistent-cache eviction pass, bytes reclaimed
+  kSpanFetchWait,       // a read blocked on a cloud fetch in flight
   SPAN_KIND_MAX,
 };
 

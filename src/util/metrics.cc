@@ -104,6 +104,7 @@ const char* const kHistogramNames[HISTOGRAM_ENUM_MAX] = {
     "multiget.latency.us",
     "write.queue.wait.us",
     "write.stall.us",
+    "cloud.fetch.wait.us",
 };
 
 // "pcache.gc.runs" -> "rocksmash_pcache_gc_runs".

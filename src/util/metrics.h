@@ -177,6 +177,9 @@ enum Histograms : uint32_t {
   WRITE_QUEUE_WAIT_US,
   // Duration of each stall episode in MakeRoomForWrite, any cause.
   WRITE_STALL_US,
+  // A block read blocked on a cloud fetch still in flight: its own
+  // read-ahead, or a GET another reader started.
+  CLOUD_FETCH_WAIT_US,
 
   HISTOGRAM_ENUM_MAX,
 };

@@ -51,6 +51,7 @@ std::string PerfContext::ToString() const {
   AppendField(&out, "get_from_sst_time", get_from_sst_time);
   AppendField(&out, "multiget_time", multiget_time);
   AppendField(&out, "cloud_read_time", cloud_read_time);
+  AppendField(&out, "cloud_fetch_wait_time", cloud_fetch_wait_time);
   AppendField(&out, "wal_write_time", wal_write_time);
   AppendField(&out, "write_memtable_time", write_memtable_time);
   AppendField(&out, "wal_sync_time", wal_sync_time);

@@ -61,6 +61,8 @@ struct PerfContext {
   uint64_t get_from_sst_time = 0;
   uint64_t multiget_time = 0;  // Whole-batch wall time in DBImpl::MultiGet.
   uint64_t cloud_read_time = 0;
+  // Blocked on a cloud fetch still in flight (read-ahead or a joined GET).
+  uint64_t cloud_fetch_wait_time = 0;
   uint64_t wal_write_time = 0;
   uint64_t write_memtable_time = 0;
   uint64_t wal_sync_time = 0;

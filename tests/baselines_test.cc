@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -302,6 +305,116 @@ TEST(CloudSstCacheTest, StatsPollingRacesFileCacheMisses) {
   EXPECT_LE(stats.storage.local_bytes, 2u << 20);
   store.reset();
   std::filesystem::remove_all(dir);
+}
+
+// Forwards to another Env; runs a hook once, on entry to the first
+// NewRandomAccessFile of one path.
+class OpenHookEnv final : public Env {
+ public:
+  OpenHookEnv(Env* base, std::string path, std::function<void()> hook)
+      : base_(base), path_(std::move(path)), hook_(std::move(hook)) {}
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    if (fname == path_ && hook_ != nullptr) {
+      std::function<void()> hook = std::move(hook_);
+      hook_ = nullptr;
+      hook();
+    }
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_->NewWritableFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return base_->RemoveDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
+ private:
+  Env* const base_;
+  const std::string path_;
+  std::function<void()> hook_;  // the opening thread only
+};
+
+// The deterministic form of the race above: between caching table 1 and
+// opening its file, a second reader's miss gets every chance to evict it.
+// The open must still succeed and read table 1's bytes, on the host
+// filesystem and on MemEnv alike (an open handle outlives the unlink).
+TEST(CloudSstCacheTest, EvictionCannotDeleteAFileBeingOpened) {
+  std::unique_ptr<Env> mem_env = NewMemEnv();
+  for (Env* base : {Env::Default(), mem_env.get()}) {
+    std::string dir = ::testing::TempDir() + "/rocksmash_sstcache_open";
+    std::filesystem::remove_all(dir);
+    SimClock clock;
+    CloudLatencyModel model;
+    model.jitter_micros = 0;
+    auto cloud = NewMemObjectStore(&clock, model);
+
+    std::unique_ptr<TableStorage> storage;
+    std::future<Status> second_open;
+    auto evict_under_open = [&] {
+      // Budget 4096 holds one 3000-byte table: opening table 2 evicts
+      // table 1. Give that reader time to finish if the storage lets it.
+      second_open = std::async(std::launch::async, [&] {
+        std::unique_ptr<BlockSource> source;
+        uint64_t size = 0;
+        return storage->OpenTable(2, &source, &size);
+      });
+      second_open.wait_for(std::chrono::milliseconds(200));
+    };
+    OpenHookEnv env(base, dir + "/sstcache/000001.sst", evict_under_open);
+    storage = NewCloudSstCacheStorage(&env, dir, cloud.get(), "tables",
+                                      /*budget=*/4096);
+    for (uint64_t n = 1; n <= 2; n++) {
+      std::unique_ptr<WritableFile> f;
+      ASSERT_TRUE(storage->NewStagingFile(n, &f).ok());
+      ASSERT_TRUE(f->Append(std::string(3000, static_cast<char>('a' + n))).ok());
+      ASSERT_TRUE(f->Close().ok());
+      ASSERT_TRUE(storage->Install(n, 1, 3000, 0).ok());
+    }
+
+    std::unique_ptr<BlockSource> source;
+    uint64_t size = 0;
+    Status s = storage->OpenTable(1, &source, &size);
+    ASSERT_TRUE(second_open.valid());
+    ASSERT_TRUE(second_open.get().ok());
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    // Table 1 was evicted and its file deleted while this reader held it.
+    EXPECT_EQ(1u, storage->GetStats().file_cache_evictions);
+    EXPECT_FALSE(env.FileExists(dir + "/sstcache/000001.sst"));
+    std::string bytes;
+    ASSERT_TRUE(source->ReadRaw(0, 3000, &bytes).ok());
+    EXPECT_EQ(std::string(3000, 'b'), bytes);
+    source.reset();
+    storage.reset();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(CloudSstCacheTest, EvictionBoundsCacheBytes) {

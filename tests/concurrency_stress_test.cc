@@ -782,13 +782,56 @@ TEST(ConcurrencyStressTest, PersistentCacheGlobalLogLayout) {
 
 // ---------- Cloud fetch planner: reads racing a table drop ----------
 
+// Holds range GETs larger than a scan's first 16 KiB window for a few more
+// milliseconds. Those are the windows a cold scan starts on the fetch pool
+// beside its inline first GET, so they are still pending when the scan has
+// read its first rows and is dropped.
+class SlowReadAheadStore final : public ObjectStore {
+ public:
+  explicit SlowReadAheadStore(ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, const Slice& data) override {
+    return base_->Put(key, data);
+  }
+  Status Get(const std::string& key, std::string* data) override {
+    return base_->Get(key, data);
+  }
+  Status GetRange(const std::string& key, uint64_t offset, size_t n,
+                  std::string* data) override {
+    if (n > 16 * 1024) {
+      slow_gets_.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    return base_->GetRange(key, offset, n, data);
+  }
+  Status Head(const std::string& key, ObjectMeta* meta) override {
+    return base_->Head(key, meta);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  Status List(const std::string& prefix,
+              std::vector<ObjectMeta>* result) override {
+    return base_->List(prefix, result);
+  }
+  OpCounters Counters() const override { return base_->Counters(); }
+  uint64_t BytesStored() const override { return base_->BytesStored(); }
+
+  uint64_t slow_gets() const { return slow_gets_.load(); }
+
+ private:
+  ObjectStore* const base_;
+  std::atomic<uint64_t> slow_gets_{0};
+};
+
 // Point reads and streaming scans race the in-flight fetch table of one
 // cloud table while its persistent-cache extent is repeatedly invalidated
 // (every re-admission lands in a new extent generation) and the table is
 // finally removed. Every read must return the table's own bytes or, once
 // the cloud object is gone, an error; a corrupt block or a wrong value would
-// mean a reader got bytes from a dropped extent generation. Destroying a
-// table while its read-ahead is still in flight must drain it, not hang.
+// mean a reader got bytes from a dropped extent generation. Cold scans
+// leave their second window pending on the fetch pool when they are done,
+// so invalidations, the removal and the table drop all race those pooled
+// fetches. Destroying a table while its read-ahead is still in flight must
+// drain it, not hang.
 TEST(ConcurrencyStressTest, FetchPlannerReadsRaceTableDrop) {
   const std::string dir = TestDir("fetch_planner");
   std::filesystem::remove_all(dir);
@@ -797,7 +840,8 @@ TEST(ConcurrencyStressTest, FetchPlannerReadsRaceTableDrop) {
   model.jitter_micros = 0;
   model.get_first_byte_micros = 300;  // fetches stay pending for a while
   model.put_first_byte_micros = 1;
-  auto cloud = NewMemObjectStore(SystemClock::Default(), model);
+  auto bucket = NewMemObjectStore(SystemClock::Default(), model);
+  auto cloud = std::make_unique<SlowReadAheadStore>(bucket.get());
   PersistentCacheOptions pc;
   pc.dir = dir + "/pcache";
   pc.capacity_bytes = 64 * 1024;  // admissions evict constantly too
@@ -919,11 +963,17 @@ TEST(ConcurrencyStressTest, FetchPlannerReadsRaceTableDrop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     stop.store(true, std::memory_order_release);
     for (auto& t : threads) t.join();
+    // The last scans' pooled windows may still be pending: the drop drains.
+    const auto t0 = std::chrono::steady_clock::now();
+    table.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 
     EXPECT_GT(reads.load(), 0u);
     EXPECT_EQ(0u, wrong.load()) << "round " << round;
     EXPECT_EQ(0u, early_errors.load()) << "round " << round;
   }
+  // Cold scans did start windows beside their first GET.
+  EXPECT_GT(cloud->slow_gets(), 0u);
   std::filesystem::remove_all(dir);
 }
 

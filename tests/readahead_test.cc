@@ -1,7 +1,8 @@
 // Tests for the cloud fetch planner: a point read fetches exactly its block,
-// a scan streams windows from its first block, every window's blocks land in
-// the persistent cache, and readers of a block that a pending GET covers
-// wait for it instead of fetching it again.
+// a scan streams windows from its first block and issues its first two
+// together, every window's blocks land in the persistent cache, and readers
+// of a block that a pending GET covers wait for it instead of fetching it
+// again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +27,16 @@ namespace {
 struct RangeGet {
   uint64_t offset;
   size_t n;
+  // When the GET entered and left the store, on a clock that ticks once per
+  // entry or exit: two GETs were pending at once iff each entered before
+  // the other left.
+  uint64_t entered = 0;
+  uint64_t left = 0;
 };
+
+bool Overlapped(const RangeGet& a, const RangeGet& b) {
+  return a.entered < b.left && b.entered < a.left;
+}
 
 // Records every range GET that reaches the wrapped store.
 class RecordingStore final : public ObjectStore {
@@ -42,11 +52,16 @@ class RecordingStore final : public ObjectStore {
   }
   Status GetRange(const std::string& key, uint64_t offset, size_t n,
                   std::string* data) override {
+    size_t i;
     {
       MutexLock l(&mu_);
-      gets_.push_back({offset, n});
+      i = gets_.size();
+      gets_.push_back({offset, n, ++ticks_, 0});
     }
-    return base_->GetRange(key, offset, n, data);
+    Status s = base_->GetRange(key, offset, n, data);
+    MutexLock l(&mu_);
+    gets_[i].left = ++ticks_;
+    return s;
   }
   Status Head(const std::string& key, ObjectMeta* meta) override {
     return base_->Head(key, meta);
@@ -73,7 +88,17 @@ class RecordingStore final : public ObjectStore {
   // Lock order: leaf. Guards the GET log; never held across the base call.
   Mutex mu_;
   std::vector<RangeGet> gets_ GUARDED_BY(mu_);
+  uint64_t ticks_ GUARDED_BY(mu_) = 0;
 };
+
+// `gets` in file order. A scan's GETs run concurrently, so the order they
+// reached the store in is not fixed.
+std::vector<RangeGet> ByOffset(std::vector<RangeGet> gets) {
+  std::sort(gets.begin(), gets.end(), [](const RangeGet& a, const RangeGet& b) {
+    return a.offset < b.offset;
+  });
+  return gets;
+}
 
 std::string KeyOf(int i) {
   char key[32];
@@ -225,7 +250,7 @@ TEST_F(ReadaheadTest, FullScanStreamsFromTheFirstBlock) {
   EXPECT_EQ(kRows, n);
   it.reset();
   table.reset();  // drains any read-ahead still in flight
-  const std::vector<RangeGet> gets = cloud_->Gets();
+  const std::vector<RangeGet> gets = ByOffset(cloud_->Gets());
   ASSERT_FALSE(gets.empty());
   EXPECT_LE(gets.size(), 8u);
   EXPECT_EQ(blocks.front().offset(), gets.front().offset);
@@ -252,7 +277,7 @@ TEST_F(ReadaheadTest, WindowBlocksAreServedFromThePersistentCache) {
   it.reset();
   table.reset();  // drains the read-ahead started behind the first window
   const size_t gets_before = cloud_->Gets().size();
-  const RangeGet window = cloud_->Gets().front();
+  const RangeGet window = ByOffset(cloud_->Gets()).front();
   EXPECT_EQ(0u, window.offset);
 
   // A fresh source holds no fetched bytes: whatever it serves without a GET
@@ -302,14 +327,49 @@ TEST_F(ReadaheadTest, ConcurrentReadersOfAColdWindowShareOneGet) {
   EXPECT_EQ(kThreads, correct.load());
   // One GET for the first window; the read-ahead behind it is shared too,
   // so no byte is fetched twice.
-  std::vector<RangeGet> gets = cloud_->Gets();
+  const std::vector<RangeGet> gets = ByOffset(cloud_->Gets());
   ASSERT_FALSE(gets.empty());
-  std::sort(gets.begin(), gets.end(), [](const RangeGet& a, const RangeGet& b) {
-    return a.offset < b.offset;
-  });
   EXPECT_EQ(0u, gets[0].offset);
   for (size_t i = 1; i < gets.size(); i++) {
     EXPECT_GE(gets[i].offset, gets[i - 1].offset + gets[i - 1].n);
+  }
+}
+
+TEST_F(ReadaheadTest, ColdScanIssuesItsFirstTwoWindowsTogether) {
+  // Real 50 ms GETs, so GETs that overlap are seen in flight together.
+  OpenStorage(SystemClock::Default(), 50 * 1000);
+  BuildCloudTable(1);
+  std::unique_ptr<Table> table = OpenTable(1);
+  const std::vector<BlockHandle> blocks = DataBlocks(*table);
+
+  // Read rows until the scan is past the first 16 KiB window and into the
+  // second, as a cloud-mixed scan of a few dozen rows does.
+  constexpr int kScanRows = 200;
+  std::unique_ptr<Iterator> it = table->NewIterator(Streaming());
+  int n = 0;
+  for (it->SeekToFirst(); it->Valid() && n < kScanRows; it->Next()) {
+    ASSERT_EQ(KeyOf(n), it->key().ToString());
+    n++;
+  }
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  ASSERT_EQ(kScanRows, n);
+  it.reset();
+  table.reset();  // drains the read-ahead still in flight
+
+  // The same GETs as when each window started after the one before it
+  // returned: the first window, the second (twice as large), and the third,
+  // which the scan starts as it nears the end of the first.
+  const std::vector<RangeGet> gets = ByOffset(cloud_->Gets());
+  ASSERT_EQ(3u, gets.size());
+  EXPECT_EQ(blocks.front().offset(), gets[0].offset);
+  EXPECT_LE(gets[0].n, 16u * 1024);
+  EXPECT_GT(gets[1].n, gets[0].n);
+  EXPECT_LE(gets[1].n, 32u * 1024);
+  // The second window's GET was pending while the first ran inline.
+  EXPECT_TRUE(Overlapped(gets[0], gets[1]));
+  // Contiguous: each window starts where the one before it ends.
+  for (size_t i = 1; i < gets.size(); i++) {
+    EXPECT_EQ(gets[i - 1].offset + gets[i - 1].n, gets[i].offset);
   }
 }
 
