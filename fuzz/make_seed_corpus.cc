@@ -20,7 +20,6 @@
 #include "table/blob_format.h"
 #include "table/block_builder.h"
 #include "table/format.h"
-#include "trace/trace_format.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/slice.h"
@@ -162,33 +161,6 @@ std::string BuildBlobFile() {
   return file.contents();
 }
 
-// A well-formed operation trace exercising every record type, built with
-// the real encoders (same bytes Tracer would write).
-std::string BuildTrace() {
-  using namespace trace;
-  std::string t;
-  EncodeHeaderRecord(/*start_micros=*/1234567, /*sampling_frequency=*/1, &t);
-  EncodePutRecord(10, 1, Slice("key-a"), Slice("value-a"), false, &t);
-  EncodeDeleteRecord(20, 1, Slice("key-b"), true, &t);
-  WriteBatch batch;
-  batch.Put(Slice("batch-key"), Slice("batch-value"));
-  batch.Delete(Slice("key-a"));
-  EncodeWriteBatchRecord(30, 2, WriteBatchInternal::Contents(&batch), false,
-                         &t);
-  EncodeGetRecord(40, 1, Slice("key-a"), false, &t);
-  std::vector<Slice> keys = {Slice("key-a"), Slice("key-b"), Slice("key-c")};
-  EncodeMultiGetRecord(50, 2, keys, &t);
-  EncodeNewIteratorRecord(60, 1, /*iter_id=*/7, false, &t);
-  EncodeIterSeekRecord(61, 1, 7, SeekMode::kSeek, Slice("key-b"), &t);
-  EncodeIterSeekRecord(62, 1, 7, SeekMode::kSeekToFirst, Slice(), &t);
-  EncodeIterNextRecord(63, 1, 7, &t);
-  EncodeSpanRecord(3, kSpanWalSync, 15, 120, 4096, 0, &t);
-  EncodeSpanRecord(3, kSpanCloudGet, 45, 2500, 65536, 42, &t);
-  EncodeFooterRecord(/*end_micros=*/100, /*records_written=*/12,
-                     /*records_dropped=*/0, &t);
-  return t;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -247,20 +219,6 @@ int main(int argc, char** argv) {
     index.EncodeTo(&index_bytes);
     EmitWithMutations(blob, "index", index_bytes);
   }
-
-  const fs::path tracedir = root / "fuzz_trace";
-  fs::create_directories(tracedir);
-  const std::string trace_log = BuildTrace();
-  EmitWithMutations(tracedir, "trace", trace_log);
-  // Footer-less tail: truncated exactly at a record boundary, which framing
-  // alone cannot catch — only the file-level footer contract rejects it.
-  std::string no_footer = trace_log;
-  {
-    std::string footer;
-    trace::EncodeFooterRecord(100, 12, 0, &footer);
-    no_footer.resize(no_footer.size() - footer.size());
-  }
-  WriteFile(tracedir, "trace-no-footer.bin", no_footer);
 
   std::printf("seed corpora written under %s\n", root.c_str());
   return 0;

@@ -201,13 +201,6 @@ class KVStore {
   Status FlushMemTable() { return db_->FlushMemTable(); }
   void WaitForCompaction() { db_->WaitForCompaction(); }
 
-  // Operation tracing (see docs/TRACING.md).
-  Status StartTrace(const trace::TraceOptions& trace_options,
-                    const std::string& trace_file_path) {
-    return db_->StartTrace(trace_options, trace_file_path);
-  }
-  Status EndTrace() { return db_->EndTrace(); }
-
   // Engine introspection ("rocksmash.stats", "rocksmash.prometheus",
   // "rocksmash.ticker.<name>", ...), string- and map-valued.
   bool GetProperty(const Slice& property, std::string* value) {

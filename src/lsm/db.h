@@ -12,7 +12,6 @@
 #include "lsm/options.h"
 #include "lsm/write_batch.h"
 #include "table/iterator.h"
-#include "trace/trace_format.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -127,19 +126,6 @@ class DB {
   // Close(), but only Close() can report a failed WAL sync, so durability-
   // sensitive callers must use it.
   virtual Status Close() = 0;
-
-  // Starts recording every user operation (and, with
-  // TraceOptions::trace_spans, backend spans) into `trace_file_path`.
-  // Returns InvalidArgument if a trace is already active on this DB. The
-  // capture ends at EndTrace() or implicitly at Close(). With tracing off
-  // the instrumented entry points cost one relaxed atomic load. See
-  // docs/TRACING.md. The base implementation returns NotSupported.
-  virtual Status StartTrace(const trace::TraceOptions& trace_options,
-                            const std::string& trace_file_path);
-
-  // Stops an active capture, drains buffered records, writes the trace
-  // footer and syncs the file. InvalidArgument if no trace is active.
-  virtual Status EndTrace();
 
   // Force a memtable flush and wait for it.
   virtual Status FlushMemTable() = 0;

@@ -17,7 +17,6 @@
 #include "table/blob_format.h"
 #include "table/merger.h"
 #include "table/table_builder.h"
-#include "trace/tracer.h"
 #include "util/clock.h"
 #include "util/event_listener.h"
 #include "util/logger.h"
@@ -311,9 +310,6 @@ DBImpl::~DBImpl() {
 }
 
 Status DBImpl::Close() {
-  // why unchecked: an implicit end-of-trace at shutdown; "no trace active"
-  // is the common case and a failed footer write must not block Close.
-  EndTrace().PermitUncheckedError();
   // Wait for in-flight background jobs in both lanes to finish.
   {
     MutexLock l(&mutex_);
@@ -945,9 +941,6 @@ Status DBImpl::WriteLevel0Table(Iterator* iter, VersionEdit* edit,
     RecordTick(options_.statistics, FLUSH_LANE_BYTES_WRITTEN, meta.file_size);
     RecordInHistogram(options_.statistics, FLUSH_LATENCY_US,
                       static_cast<double>(stats.micros));
-    trace::EmitSpan(trace::kSpanFlush, start_micros,
-                    static_cast<uint64_t>(stats.micros), meta.file_size,
-                    meta.number);
   }
   if (flush_info != nullptr) {
     flush_info->file_number = meta.number;
@@ -1617,10 +1610,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact) {
                static_cast<uint64_t>(stats.bytes_written));
     RecordInHistogram(options_.statistics, COMPACTION_LATENCY_US,
                       static_cast<double>(stats.micros));
-    trace::EmitSpan(trace::kSpanCompaction, start_micros,
-                    static_cast<uint64_t>(stats.micros),
-                    static_cast<uint64_t>(stats.bytes_written),
-                    static_cast<uint64_t>(compact->compaction->level()));
     if (!options_.listeners.empty()) {
       CompactionJobInfo info;
       info.level = compact->compaction->level();
@@ -1702,13 +1691,6 @@ Status DBImpl::ResolveBlobValue(const ReadOptions& options,
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    PinnableSlice* value) {
   Status s;
-  {
-    // Tracing-off cost on the read hot path: this one relaxed load.
-    trace::Tracer* tracer = tracer_.load(std::memory_order_relaxed);
-    if (tracer != nullptr) {
-      tracer->RecordGet(key, options.snapshot != nullptr);
-    }
-  }
   // Declared before MutexLock so the latency sample is taken after the lock
   // is released (destructors run in reverse order).
   StopWatch sw(options_.statistics, GET_LATENCY_US);
@@ -1773,11 +1755,6 @@ void DBImpl::MultiGet(const ReadOptions& options,
   values->resize(n);
   statuses->assign(n, Status::OK());
   if (n == 0) return;
-
-  {
-    trace::Tracer* tracer = tracer_.load(std::memory_order_relaxed);
-    if (tracer != nullptr) tracer->RecordMultiGet(keys);
-  }
 
   // Declared before MutexLock so the latency sample is taken after the lock
   // is released (destructors run in reverse order).
@@ -2225,7 +2202,7 @@ std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {
   SequenceNumber latest_snapshot;
   std::unique_ptr<Iterator> iter =
       NewInternalIterator(options, &latest_snapshot);
-  std::unique_ptr<Iterator> db_iter = std::make_unique<DBIter>(
+  return std::make_unique<DBIter>(
       user_comparator(), options_.prefix_extractor, std::move(iter),
       (options.snapshot != nullptr
            ? static_cast<const SnapshotImpl*>(options.snapshot)
@@ -2233,17 +2210,6 @@ std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {
            : latest_snapshot),
       options_.statistics,
       options.prefix_same_as_start, blob_cache_.get(), options);
-  trace::Tracer* tracer = tracer_.load(std::memory_order_relaxed);
-  if (tracer != nullptr) {
-    // One sampling decision covers the iterator's whole lifetime: id 0
-    // means sampled out, and then its Seek/Next ops go unrecorded too.
-    uint64_t iter_id = tracer->RecordNewIterator(options.snapshot != nullptr);
-    if (iter_id != 0) {
-      return std::make_unique<trace::TracingIterator>(std::move(db_iter),
-                                                      tracer, iter_id);
-    }
-  }
-  return db_iter;
 }
 
 const Snapshot* DBImpl::GetSnapshot() {
@@ -2309,88 +2275,7 @@ bool DB::GetProperty(const Slice& /*property*/,
   return false;
 }
 
-Status DB::StartTrace(const trace::TraceOptions& /*trace_options*/,
-                      const std::string& /*trace_file_path*/) {
-  return Status::NotSupported("tracing not supported by this DB");
-}
-
-Status DB::EndTrace() {
-  return Status::NotSupported("tracing not supported by this DB");
-}
-
-Status DBImpl::StartTrace(const trace::TraceOptions& trace_options,
-                          const std::string& trace_file_path) {
-  MutexLock l(&trace_mu_);
-  if (active_tracer_ != nullptr) {
-    return Status::InvalidArgument("trace already active");
-  }
-  auto tracer = std::make_unique<trace::Tracer>(
-      env_, SystemClock::Default(), options_.statistics, trace_options);
-  Status s = tracer->Open(trace_file_path);
-  if (!s.ok()) return s;
-  if (trace_options.trace_spans) {
-    // Span capture is process-global; if another DB already owns it this
-    // capture proceeds with op records only.
-    (void)trace::SpanHub::Instance()->Attach(tracer.get());
-  }
-  active_tracer_ = std::move(tracer);
-  tracer_.store(active_tracer_.get(), std::memory_order_release);
-  return Status::OK();
-}
-
-Status DBImpl::EndTrace() {
-  MutexLock l(&trace_mu_);
-  if (active_tracer_ == nullptr) {
-    return Status::InvalidArgument("no trace active");
-  }
-  tracer_.store(nullptr, std::memory_order_release);
-  // Finish detaches the tracer from the SpanHub, drains every per-thread
-  // buffer, and writes the footer. The object is retired, not freed: an op
-  // that loaded the pointer just before the store above (or a live
-  // TracingIterator) may still call into it — harmlessly, as no-ops.
-  Status s = active_tracer_->Finish();
-  retired_tracers_.push_back(std::move(active_tracer_));
-  return s;
-}
-
-namespace {
-// DBImpl::Put/Delete record a dedicated put/delete trace record, then route
-// through DB::Put/DB::Delete -> DBImpl::Write, which would also record the
-// synthesized one-entry batch. This flag suppresses the inner record.
-thread_local bool t_trace_suppressed = false;
-
-struct TraceSuppressScope {
-  TraceSuppressScope() { t_trace_suppressed = true; }
-  ~TraceSuppressScope() { t_trace_suppressed = false; }
-};
-}  // namespace
-
-Status DBImpl::Put(const WriteOptions& o, const Slice& key,
-                   const Slice& val) {
-  trace::Tracer* tracer = tracer_.load(std::memory_order_relaxed);
-  if (tracer == nullptr) return DB::Put(o, key, val);
-  tracer->RecordPut(key, val, o.sync);
-  TraceSuppressScope suppress;
-  return DB::Put(o, key, val);
-}
-
-Status DBImpl::Delete(const WriteOptions& options, const Slice& key) {
-  trace::Tracer* tracer = tracer_.load(std::memory_order_relaxed);
-  if (tracer == nullptr) return DB::Delete(options, key);
-  tracer->RecordDelete(key, options.sync);
-  TraceSuppressScope suppress;
-  return DB::Delete(options, key);
-}
-
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
-  if (updates != nullptr) {
-    // Tracing-off cost on the write hot path: this one relaxed load.
-    trace::Tracer* tracer = tracer_.load(std::memory_order_relaxed);
-    if (tracer != nullptr && !t_trace_suppressed) {
-      tracer->RecordWriteBatch(WriteBatchInternal::Contents(updates),
-                               options.sync);
-    }
-  }
   if (options_.enable_pipelined_write) {
     return PipelinedWrite(options, updates);
   }
@@ -2407,8 +2292,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   SystemClock* const clock = SystemClock::Default();
   const bool timed =
       updates != nullptr && (options_.statistics != nullptr ||
-                             GetPerfLevel() >= PerfLevel::kEnableTime ||
-                             trace::SpanHub::Instance()->armed());
+                             GetPerfLevel() >= PerfLevel::kEnableTime);
   const uint64_t enqueue_micros = timed ? clock->NowMicros() : 0;
 
   MutexLock l(&mutex_);
@@ -2422,7 +2306,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     if (GetPerfLevel() >= PerfLevel::kEnableTime) {
       GetPerfContext()->write_queue_wait_time += waited;
     }
-    trace::EmitSpan(trace::kSpanQueueWait, enqueue_micros, waited, 0, 0);
   }
   if (w.done) {
     return w.status;
@@ -2458,8 +2341,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       bool sync_error = false;
       if (status.ok() && options.sync) {
         StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
-        trace::SpanTimer sync_span(trace::kSpanWalSync);
-        sync_span.set_bytes(contents.size());
         PerfScope sync_scope(&PerfContext::wal_sync_time);
         status = wal_->Sync();
         if (status.ok()) {
@@ -2545,8 +2426,7 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
   SystemClock* const clock = SystemClock::Default();
   const bool timed =
       updates != nullptr && (options_.statistics != nullptr ||
-                             GetPerfLevel() >= PerfLevel::kEnableTime ||
-                             trace::SpanHub::Instance()->armed());
+                             GetPerfLevel() >= PerfLevel::kEnableTime);
   const uint64_t enqueue_micros = timed ? clock->NowMicros() : 0;
 
   MutexLock l(&mutex_);
@@ -2564,7 +2444,6 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
     if (GetPerfLevel() >= PerfLevel::kEnableTime) {
       GetPerfContext()->write_queue_wait_time += waited;
     }
-    trace::EmitSpan(trace::kSpanQueueWait, enqueue_micros, waited, 0, 0);
   }
   if (w.done) {
     return w.status;
@@ -2646,8 +2525,6 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
     bool sync_error = false;
     if (status.ok() && options.sync) {
       StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
-      trace::SpanTimer sync_span(trace::kSpanWalSync);
-      sync_span.set_bytes(contents.size());
       PerfScope sync_scope(&PerfContext::wal_sync_time);
       status = wal_->Sync();
       if (status.ok()) {

@@ -32,10 +32,6 @@ class ThreadPool;
 struct FlushJobInfo;
 struct CompactionJobInfo;
 
-namespace trace {
-class Tracer;
-}
-
 class DBImpl final : public DB {
  public:
   DBImpl(const DBOptions& options, const std::string& dbname);
@@ -44,9 +40,6 @@ class DBImpl final : public DB {
   DBImpl(const DBImpl&) = delete;
   DBImpl& operator=(const DBImpl&) = delete;
 
-  Status Put(const WriteOptions&, const Slice& key,
-             const Slice& value) override;
-  Status Delete(const WriteOptions&, const Slice& key) override;
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
   // Pull in the std::string compatibility overloads next to the PinnableSlice
   // overrides below (which would otherwise hide them on DBImpl-typed calls).
@@ -65,9 +58,6 @@ class DBImpl final : public DB {
                    std::map<std::string, std::string>* value) override;
   Status CompactRange(const Slice* begin, const Slice* end) override;
   Status Close() override;
-  Status StartTrace(const trace::TraceOptions& trace_options,
-                    const std::string& trace_file_path) override;
-  Status EndTrace() override;
   Status FlushMemTable() override;
   void WaitForCompaction() override;
   RecoveryStats GetRecoveryStats() const override { return recovery_stats_; }
@@ -291,19 +281,6 @@ class DBImpl final : public DB {
   // outcome instead of re-running shutdown.
   bool closed_ GUARDED_BY(mutex_) = false;
   Status close_status_ GUARDED_BY(mutex_);
-
-  // Operation tracing (DB::StartTrace). tracer_ is the hot-path gate: every
-  // instrumented entry point does one relaxed load and skips everything on
-  // nullptr. Admin state lives under trace_mu_; retired tracers are kept
-  // alive until Close so a stale pointer loaded concurrently with EndTrace
-  // (or a live TracingIterator) can never dangle.
-  // Lock order: leaf; never acquired with mutex_ held and never held while
-  // calling into the engine.
-  Mutex trace_mu_;
-  std::atomic<trace::Tracer*> tracer_{nullptr};
-  std::unique_ptr<trace::Tracer> active_tracer_ GUARDED_BY(trace_mu_);
-  std::vector<std::unique_ptr<trace::Tracer>> retired_tracers_
-      GUARDED_BY(trace_mu_);
 
   // Written only by Recover (before any background thread exists), read
   // freely afterwards.

@@ -674,34 +674,6 @@ Status ShardedDB::Close() {
   return close_status_;
 }
 
-Status ShardedDB::StartTrace(const trace::TraceOptions& trace_options,
-                             const std::string& trace_file_path) {
-  // Shard 0 records to the given path; shard i to "<path>.shard<i>". Span
-  // tracing is process-global (one capture per process), so only shard 0
-  // keeps trace_spans; the others record user ops only.
-  Status first;
-  for (size_t i = 0; i < shards_.size(); i++) {
-    trace::TraceOptions opts = trace_options;
-    std::string path = trace_file_path;
-    if (i > 0) {
-      opts.trace_spans = false;
-      path += ".shard" + std::to_string(i);
-    }
-    Status s = shards_[i]->StartTrace(opts, path);
-    if (!s.ok() && first.ok()) first = s;
-  }
-  return first;
-}
-
-Status ShardedDB::EndTrace() {
-  Status first;
-  for (auto& shard : shards_) {
-    Status s = shard->EndTrace();
-    if (!s.ok() && first.ok()) first = s;
-  }
-  return first;
-}
-
 Status ShardedDB::FlushMemTable() {
   Status first;
   for (auto& shard : shards_) {

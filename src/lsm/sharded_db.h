@@ -107,9 +107,6 @@ class ShardedDB : public DB {
                    std::map<std::string, std::string>* value) override;
   Status CompactRange(const Slice* begin, const Slice* end) override;
   Status Close() override;
-  Status StartTrace(const trace::TraceOptions& trace_options,
-                    const std::string& trace_file_path) override;
-  Status EndTrace() override;
   Status FlushMemTable() override;
   void WaitForCompaction() override;
   RecoveryStats GetRecoveryStats() const override;

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "env/env.h"
-#include "trace/span.h"
 #include "util/clock.h"
 #include "util/event_listener.h"
 #include "util/metrics.h"
@@ -115,22 +114,16 @@ bool PersistentCache::HasBlock(uint64_t sst, uint64_t offset) {
 void PersistentCache::PutBlock(uint64_t sst, uint64_t offset,
                                const Slice& raw) {
   if (raw.size() > options_.capacity_bytes) return;
-  trace::SpanTimer admit_span(trace::kSpanPcacheAdmit);
-  admit_span.set_bytes(raw.size());
-  admit_span.set_detail(sst);
-  const uint64_t evicted_delta = PutBlockImpl(sst, offset, raw);
+  uint64_t evicted_delta;
+  {
+    StopWatch admit_sw(options_.statistics, PCACHE_ADMIT_US);
+    evicted_delta = PutBlockImpl(sst, offset, raw);
+  }
   // Listener fan-out happens with mu_ released: one aggregate notification
   // per Put whose eviction pass reclaimed bytes.
   if (evicted_delta > 0) {
     RecordTick(options_.statistics, PERSISTENT_CACHE_EVICTED_BYTES,
                evicted_delta);
-    if (trace::SpanHub::Instance()->armed()) {
-      // Eviction happens inside the admit above; record it as a point event
-      // at the admission's end with the reclaimed byte count.
-      trace::EmitSpan(trace::kSpanPcacheEvict,
-                      SystemClock::Default()->NowMicros(), 0, evicted_delta,
-                      sst);
-    }
     if (!options_.listeners.empty()) {
       CacheEvictionInfo info;
       info.evicted_bytes = evicted_delta;

@@ -8,7 +8,6 @@
 #include "env/env.h"
 #include "lsm/filename.h"
 #include "table/format.h"
-#include "trace/span.h"
 #include "util/clock.h"
 #include "util/event_listener.h"
 #include "util/metrics.h"
@@ -397,8 +396,6 @@ class CloudBlockSource final : public BlockSource {
     if (!done) {
       // Timed outside mu_: the scopes report after the lock is released.
       StopWatch wait_watch(statistics_, CLOUD_FETCH_WAIT_US);
-      trace::SpanTimer wait_span(trace::kSpanFetchWait);
-      wait_span.set_detail(number_);
       PerfScope wait_scope(&PerfContext::cloud_fetch_wait_time);
       MutexLock l(&mu_);
       while (!fetch->done) cv_.Wait();
@@ -419,12 +416,9 @@ class CloudBlockSource final : public BlockSource {
   // All cloud range reads funnel through here for uniform accounting.
   Status CloudGet(uint64_t offset, uint64_t n, std::string* out) {
     StopWatch sw(statistics_, CLOUD_GET_LATENCY_US);
-    trace::SpanTimer get_span(trace::kSpanCloudGet);
-    get_span.set_detail(number_);
     PerfScope time_scope(&PerfContext::cloud_read_time);
     Status s = store_->GetRange(key_, offset, n, out);
     if (s.ok()) {
-      get_span.set_bytes(out->size());
       RecordTick(statistics_, CLOUD_GET_COUNT);
       RecordTick(statistics_, CLOUD_GET_BYTES, out->size());
       PerfCount(&PerfContext::cloud_read_count);
@@ -641,8 +635,6 @@ void TieredTableStorage::FinishUploadJobLocked() {
 
 void TieredTableStorage::UploadJob(uint64_t number, uint64_t epoch) {
   StopWatch job_sw(options_.statistics, CLOUD_UPLOAD_JOB_LATENCY_US);
-  trace::SpanTimer job_span(trace::kSpanUploadJob);
-  job_span.set_detail(number);
   uint32_t attempt_failures = 0;
   uint64_t metadata_offset = 0;
   {
@@ -674,9 +666,6 @@ void TieredTableStorage::UploadJob(uint64_t number, uint64_t epoch) {
       }
       {
         StopWatch put_sw(options_.statistics, CLOUD_PUT_LATENCY_US);
-        trace::SpanTimer put_span(trace::kSpanCloudPut);
-        put_span.set_bytes(contents.size());
-        put_span.set_detail(number);
         RecordTick(options_.statistics, CLOUD_PUT_COUNT);
         s = options_.cloud->Put(CloudKey(number), contents);
       }
@@ -806,9 +795,6 @@ Status TieredTableStorage::UploadLocked(uint64_t number, FileState* state) {
   for (int attempt = 0;; attempt++) {
     {
       StopWatch put_sw(options_.statistics, CLOUD_PUT_LATENCY_US);
-      trace::SpanTimer put_span(trace::kSpanCloudPut);
-      put_span.set_bytes(contents.size());
-      put_span.set_detail(number);
       RecordTick(options_.statistics, CLOUD_PUT_COUNT);
       s = options_.cloud->Put(CloudKey(number), contents);
     }
@@ -849,10 +835,7 @@ Status TieredTableStorage::DownloadLocked(uint64_t number, FileState* state) {
   Status s;
   {
     StopWatch sw(options_.statistics, CLOUD_GET_LATENCY_US);
-    trace::SpanTimer get_span(trace::kSpanCloudGet);
-    get_span.set_detail(number);
     s = options_.cloud->Get(CloudKey(number), &contents);
-    if (s.ok()) get_span.set_bytes(contents.size());
   }
   if (!s.ok()) return s;
   stats_.downloads++;

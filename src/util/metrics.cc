@@ -71,10 +71,6 @@ const char* const kTickerNames[TICKER_ENUM_MAX] = {
     "scan.readahead.issued",
     "scan.readahead.bytes",
     "scan.readahead.hits",
-    "trace.records.written",
-    "trace.records.dropped",
-    "replay.ops.issued",
-    "replay.behind.us",
     "blob.write.separated",
     "blob.write.separated.bytes",
     "blob.write.inline",
@@ -105,6 +101,7 @@ const char* const kHistogramNames[HISTOGRAM_ENUM_MAX] = {
     "write.queue.wait.us",
     "write.stall.us",
     "cloud.fetch.wait.us",
+    "pcache.admit.us",
 };
 
 // "pcache.gc.runs" -> "rocksmash_pcache_gc_runs".

@@ -122,14 +122,6 @@ enum Tickers : uint32_t {
   SCAN_READAHEAD_BYTES,
   SCAN_READAHEAD_HITS,
 
-  // Operation tracing (DB::StartTrace) and trace replay.
-  TRACE_RECORDS_WRITTEN,
-  TRACE_RECORDS_DROPPED,
-  REPLAY_OPS_ISSUED,
-  // Cumulative micros replay threads lagged behind the recorded timeline
-  // (only accrues at recorded/scaled speed, never at max speed).
-  REPLAY_BEHIND_US,
-
   // Key-value separation (BlobOptions::enable). Values split out of the LSM
   // at flush time / kept inline because they were under min_blob_size.
   BLOB_WRITE_SEPARATED,
@@ -180,6 +172,8 @@ enum Histograms : uint32_t {
   // A block read blocked on a cloud fetch still in flight: its own
   // read-ahead, or a GET another reader started.
   CLOUD_FETCH_WAIT_US,
+  // One persistent-cache block admission, including any eviction it forced.
+  PCACHE_ADMIT_US,
 
   HISTOGRAM_ENUM_MAX,
 };

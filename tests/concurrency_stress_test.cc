@@ -23,7 +23,6 @@
 #include "mash/placement.h"
 #include "table/table.h"
 #include "table/table_builder.h"
-#include "trace/trace_tools.h"
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -1083,96 +1082,6 @@ TEST(ConcurrencyStressTest, ThreadPoolSubmitDuringShutdown) {
     // Shutdown drains the queue: every accepted task ran, none was lost.
     EXPECT_EQ(accepted.load(), executed.load()) << "round " << round;
   }
-}
-
-// ---------- Tracing: capture under churn, EndTrace racing traffic ----------
-
-// 8 op threads (4 writers, 4 readers, some with iterators) run against
-// flush + compaction churn while a trace captures everything; EndTrace is
-// called from the main thread while the op threads are still issuing, so the
-// per-thread buffers, the tracer's active flag, and the span hub all race
-// real traffic. The resulting file must still parse cleanly end to end.
-TEST(ConcurrencyStressTest, TraceCaptureUnderChurn) {
-  const std::string dbname = TestDir("trace_churn");
-  std::filesystem::remove_all(dbname);
-  const std::string trace_path = dbname + "/churn.trace";
-
-  DBOptions options;
-  options.create_if_missing = true;
-  options.write_buffer_size = 64 * 1024;
-  options.max_file_size = 64 * 1024;
-  options.max_bytes_for_level_base = 256 * 1024;
-
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-
-  trace::TraceOptions topts;
-  topts.trace_spans = true;
-  ASSERT_TRUE(db->StartTrace(topts, trace_path).ok());
-
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr uint64_t kKeysPerWriter = 600;
-  std::atomic<bool> stop_readers{false};
-  std::atomic<uint64_t> errors{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters + kReaders);
-  for (int w = 0; w < kWriters; w++) {
-    threads.emplace_back([&db, &errors, w] {
-      WriteOptions wo;
-      for (uint64_t i = 0; i < kKeysPerWriter; i++) {
-        const uint64_t k = static_cast<uint64_t>(w) * kKeysPerWriter + i;
-        if (!db->Put(wo, KeyOf(k), ValueOf(k)).ok()) errors.fetch_add(1);
-      }
-    });
-  }
-  for (int r = 0; r < kReaders; r++) {
-    threads.emplace_back([&db, &stop_readers, &errors, r] {
-      ReadOptions ro;
-      uint64_t i = 0;
-      while (!stop_readers.load(std::memory_order_acquire)) {
-        if (r % 2 == 0) {
-          std::string value;
-          Status s =
-              db->Get(ro, KeyOf(i++ % (kWriters * kKeysPerWriter)), &value);
-          if (!s.ok() && !s.IsNotFound()) errors.fetch_add(1);
-        } else {
-          auto it = db->NewIterator(ro);
-          it->Seek(KeyOf(i++ % (kWriters * kKeysPerWriter)));
-          for (int j = 0; j < 8 && it->Valid(); j++) it->Next();
-          if (!it->status().ok()) errors.fetch_add(1);
-        }
-      }
-    });
-  }
-
-  // End the capture while every op thread is still running: records issued
-  // after the active flag drops are silently not recorded, never torn.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  ASSERT_TRUE(db->EndTrace().ok());
-
-  for (int w = 0; w < kWriters; w++) threads[w].join();
-  ASSERT_TRUE(db->FlushMemTable().ok());
-  db->WaitForCompaction();
-  stop_readers.store(true, std::memory_order_release);
-  for (size_t t = kWriters; t < threads.size(); t++) threads[t].join();
-  EXPECT_EQ(errors.load(), 0u);
-
-  // The racily-ended capture is a complete, parseable trace.
-  trace::TraceStats stats;
-  ASSERT_TRUE(
-      trace::TraceFileStats(Env::Default(), trace_path, &stats).ok());
-  EXPECT_GT(stats.total_records, 0u);
-
-  // A second capture on the same DB sees the post-churn traffic.
-  ASSERT_TRUE(db->StartTrace(topts, dbname + "/second.trace").ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), "after-churn", "v").ok());
-  ASSERT_TRUE(db->EndTrace().ok());
-  ASSERT_TRUE(trace::TraceFileStats(Env::Default(), dbname + "/second.trace",
-                                    &stats)
-                  .ok());
-  EXPECT_EQ(stats.op_counts[trace::kTracePut], 1u);
 }
 
 }  // namespace

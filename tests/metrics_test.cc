@@ -460,9 +460,9 @@ TEST(EventListeners, CacheEvictionFires) {
   std::filesystem::remove_all(dir);
 }
 
-// Acceptance criterion from the issue: a mixed workload on a small RocksMash
-// rig with statistics enabled shows non-zero persistent-cache hits, cloud
-// GET count, and per-lane compaction bytes.
+// A mixed workload on a small RocksMash rig with statistics enabled shows
+// non-zero persistent-cache hits, cloud GET count, and per-lane compaction
+// bytes, and every background and write-path layer records its latency.
 TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
   std::string dir = TestDir("fullstack");
   CloudLatencyModel model;
@@ -496,10 +496,15 @@ TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
 
   Random64 rng(7);
   const size_t value_size = 400;
-  for (int i = 0; i < 1000; i++) {
+  constexpr int kPuts = 1000;
+  WriteOptions synced;
+  synced.sync = true;
+  for (int i = 0; i < kPuts; i++) {
     std::string key = "key" + std::to_string(rng.Uniform(500));
     std::string value(value_size, static_cast<char>('a' + i % 26));
-    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+    // Every tenth Put syncs the WAL.
+    ASSERT_TRUE(
+        db->Put(i % 10 == 0 ? synced : WriteOptions(), key, value).ok());
   }
   ASSERT_TRUE(db->FlushMemTable().ok());
   db->WaitForCompaction();
@@ -531,6 +536,14 @@ TEST(MetricsFullStack, MixedWorkloadPopulatesTieredTickers) {
             stats->GetTickerCount(CLOUD_GET_COUNT));
   EXPECT_GT(stats->GetHistogramSnapshot(GET_LATENCY_US).Count(), 0u);
   EXPECT_GT(stats->GetHistogramSnapshot(CLOUD_GET_LATENCY_US).Count(), 0u);
+  for (uint32_t h : {WAL_SYNC_LATENCY_US, FLUSH_LATENCY_US,
+                     COMPACTION_LATENCY_US, CLOUD_PUT_LATENCY_US,
+                     CLOUD_UPLOAD_JOB_LATENCY_US, PCACHE_ADMIT_US}) {
+    EXPECT_GT(stats->GetHistogramSnapshot(h).Count(), 0u) << HistogramName(h);
+  }
+  // The write path times every Put's queue wait, one sample each.
+  EXPECT_EQ(static_cast<uint64_t>(kPuts),
+            stats->GetHistogramSnapshot(WRITE_QUEUE_WAIT_US).Count());
 
   // Listener view agrees with the ticker view.
   EXPECT_GT(listener.flushes.load(), 0u);

@@ -18,6 +18,7 @@
 #include "table/table.h"
 #include "table/table_builder.h"
 #include "util/clock.h"
+#include "util/metrics.h"
 #include "util/mutexlock.h"
 #include "util/random.h"
 
@@ -130,7 +131,8 @@ class ReadaheadTest : public ::testing::Test {
   // synchronously and packs every table's metadata into the persistent
   // cache, so opening a table issues no GET: every recorded GET is a data
   // block fetch.
-  void OpenStorage(Clock* clock, uint64_t get_first_byte_micros) {
+  void OpenStorage(Clock* clock, uint64_t get_first_byte_micros,
+                   Statistics* statistics = nullptr) {
     CloudLatencyModel model;
     model.jitter_micros = 0;
     model.get_first_byte_micros = get_first_byte_micros;
@@ -144,6 +146,7 @@ class ReadaheadTest : public ::testing::Test {
     opts.cloud = cloud_.get();
     opts.cloud_level_start = 0;
     opts.persistent_cache = pcache_.get();
+    opts.statistics = statistics;
     storage_ = std::make_unique<TieredTableStorage>(opts);
   }
 
@@ -302,7 +305,8 @@ TEST_F(ReadaheadTest, WindowBlocksAreServedFromThePersistentCache) {
 
 TEST_F(ReadaheadTest, ConcurrentReadersOfAColdWindowShareOneGet) {
   // Real 50 ms GETs, so all readers arrive while the first GET is pending.
-  OpenStorage(SystemClock::Default(), 50 * 1000);
+  auto stats = CreateDBStatistics();
+  OpenStorage(SystemClock::Default(), 50 * 1000, stats.get());
   BuildCloudTable(1);
   std::unique_ptr<Table> table = OpenTable(1);
 
@@ -333,6 +337,9 @@ TEST_F(ReadaheadTest, ConcurrentReadersOfAColdWindowShareOneGet) {
   for (size_t i = 1; i < gets.size(); i++) {
     EXPECT_GE(gets[i].offset, gets[i - 1].offset + gets[i - 1].n);
   }
+  // The readers that joined the pending GET waited on it, and that wait is
+  // recorded.
+  EXPECT_GE(stats->GetHistogramSnapshot(CLOUD_FETCH_WAIT_US).Count(), 1u);
 }
 
 TEST_F(ReadaheadTest, ColdScanIssuesItsFirstTwoWindowsTogether) {

@@ -7,10 +7,11 @@ Rules
                      sync (same entry count), and every literal
                      "rocksmash.ticker.<name>" / "rocksmash.histogram.<name>"
                      used anywhere resolves to a registered dotted name.
-  trace-schema       The TraceRecordType enum (trace_format.h), its name
-                     table kTraceRecordTypeNames (trace_format.cc), and the
-                     record-type table in docs/TRACING.md list the same
-                     record types in the same order.
+  metrics-doc        Every registered ticker/histogram name appears in a
+                     Ticker/Histogram table of docs/METRICS.md (a
+                     `prefix.*` row covers every name under that prefix),
+                     and every Name cell of those tables is a registered
+                     name of its table's kind.
   mutex-lock-order   Every Mutex member declaration carries a lock-hierarchy
                      comment ("Lock order: ...") on the declaration line or
                      in the comment block directly above it.
@@ -49,9 +50,7 @@ SOURCE_EXTS = (".cc", ".h")
 METRICS_HEADER = os.path.join("src", "util", "metrics.h")
 METRICS_SOURCE = os.path.join("src", "util", "metrics.cc")
 
-TRACE_HEADER = os.path.join("src", "trace", "trace_format.h")
-TRACE_SOURCE = os.path.join("src", "trace", "trace_format.cc")
-TRACE_DOC = os.path.join("docs", "TRACING.md")
+METRICS_DOC = os.path.join("docs", "METRICS.md")
 
 BLOB_OPTIONS_HEADER = os.path.join("src", "lsm", "options.h")
 BLOB_OPTIONS_SOURCE = os.path.join("src", "lsm", "options.cc")
@@ -174,65 +173,78 @@ def check_metrics_registry(root):
     return findings
 
 
-# ------------------------------------------------------------ trace schema --
+# ------------------------------------------------------------ metrics doc --
+
+# Header word of a docs/METRICS.md table -> the name table it documents.
+DOC_TABLES = {"Ticker": "kTickerNames", "Histogram": "kHistogramNames"}
 
 
-def parse_doc_record_table(text):
-    """Backticked record names from the table under "## Record types"."""
-    m = re.search(r"^## Record types$(.*?)(?:^## |\Z)", text, re.S | re.M)
-    if m is None:
-        return None
-    return re.findall(r"^\|\s*`([a-z_]+)`", m.group(1), re.M)
+def parse_doc_metric_rows(text):
+    """(line, kind, cell) for each Name cell of the Ticker/Histogram tables.
+
+    A table starts at a "| Ticker | Name | ..." or "| Histogram | Name | ..."
+    header row and ends at the first line that is not a table row.
+    """
+    rows = []
+    table = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.startswith("|"):
+            table = None
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 2 and cells[1] == "Name" and cells[0] in DOC_TABLES:
+            table = cells[0]
+            continue
+        if table is None or len(cells) < 2 or set(cells[1]) <= set("-: "):
+            continue
+        rows.append((lineno, table, cells[1]))
+    return rows
 
 
-def check_trace_schema(root):
-    """TraceRecordType enum, its name table, and docs/TRACING.md agree."""
-    findings = []
-    header_path = os.path.join(root, TRACE_HEADER)
-    source_path = os.path.join(root, TRACE_SOURCE)
-    doc_path = os.path.join(root, TRACE_DOC)
+def doc_name_covers(doc_name, name):
+    if doc_name.endswith(".*"):
+        return name.startswith(doc_name[:-1])
+    return doc_name == name
+
+
+def check_metrics_doc(root):
+    """Registered metric names and docs/METRICS.md's tables agree."""
     try:
-        header = open(header_path, encoding="utf-8").read()
-        source = open(source_path, encoding="utf-8").read()
-        doc = open(doc_path, encoding="utf-8").read()
+        source = open(os.path.join(root, METRICS_SOURCE), encoding="utf-8").read()
+        doc = open(os.path.join(root, METRICS_DOC), encoding="utf-8").read()
     except OSError as e:
-        return [Finding("trace-schema", TRACE_HEADER, 1,
-                        f"cannot read trace schema: {e}")]
+        return [Finding("metrics-doc", METRICS_DOC, 1, f"cannot read: {e}")]
 
-    entries = parse_enum_entries(header, "TraceRecordType",
-                                 "TRACE_RECORD_TYPE_MAX")
-    names = parse_name_table(source, "kTraceRecordTypeNames")
-    doc_names = parse_doc_record_table(doc)
-    if entries is None:
-        return [Finding("trace-schema", TRACE_HEADER, 1,
-                        "enum TraceRecordType not found")]
-    if names is None:
-        return [Finding("trace-schema", TRACE_SOURCE, 1,
-                        "name table kTraceRecordTypeNames not found")]
-    if doc_names is None:
-        return [Finding("trace-schema", TRACE_DOC, 1,
-                        'record-type table under "## Record types" not found')]
+    registered = {}
+    for kind, table in DOC_TABLES.items():
+        names = parse_name_table(source, table)
+        if names is None:
+            return [Finding("metrics-doc", METRICS_SOURCE, 1,
+                            f"name table {table} not found")]
+        registered[kind] = names
 
-    if len(entries) != len(names):
-        findings.append(Finding(
-            "trace-schema", TRACE_SOURCE, 1,
-            f"TraceRecordType has {len(entries)} entries but "
-            f"kTraceRecordTypeNames has {len(names)} names — the schema is "
-            "out of sync"))
-    if doc_names != names:
-        missing = [n for n in names if n not in doc_names]
-        extra = [n for n in doc_names if n not in names]
-        detail = []
-        if missing:
-            detail.append(f"missing from doc: {', '.join(missing)}")
-        if extra:
-            detail.append(f"unknown in doc: {', '.join(extra)}")
-        if not detail:
-            detail.append("same names, different order")
-        findings.append(Finding(
-            "trace-schema", TRACE_DOC, 1,
-            "record-type table does not match kTraceRecordTypeNames "
-            f"({'; '.join(detail)})"))
+    findings = []
+    documented = {kind: [] for kind in registered}
+    for lineno, kind, cell in parse_doc_metric_rows(doc):
+        m = re.fullmatch(r"`([a-z0-9._]+(?:\.\*)?)`", cell)
+        if m is None:
+            findings.append(Finding(
+                "metrics-doc", METRICS_DOC, lineno,
+                f"Name cell {cell!r} is not one backticked metric name"))
+            continue
+        doc_name = m.group(1)
+        documented[kind].append(doc_name)
+        if not any(doc_name_covers(doc_name, n) for n in registered[kind]):
+            findings.append(Finding(
+                "metrics-doc", METRICS_DOC, lineno,
+                f"`{doc_name}` is not a registered {kind.lower()} name"))
+    for kind, names in registered.items():
+        for name in names:
+            if not any(doc_name_covers(d, name) for d in documented[kind]):
+                findings.append(Finding(
+                    "metrics-doc", METRICS_SOURCE, 1,
+                    f"{kind.lower()} `{name}` is not documented in a "
+                    f"{METRICS_DOC} table"))
     return findings
 
 
@@ -534,27 +546,33 @@ def run_self_test():
         if not any(f.rule == "metrics-registry" for f in found):
             failures.append("rule metrics-registry did not fire on seeded violation")
 
-        # trace-schema: clone the real schema files; the untouched trio must
-        # be clean, and a doc table with a dropped row must fire.
-        os.makedirs(os.path.join(tmp, "src", "trace"))
+        # metrics-doc: against the registry cloned above and the real doc,
+        # an untouched doc must be clean; a dropped row and an unregistered
+        # row must each fire.
         os.makedirs(os.path.join(tmp, "docs"))
-        for rel in (TRACE_HEADER, TRACE_SOURCE, TRACE_DOC):
-            with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
-                content = f.read()
-            with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
-                f.write(content)
-        if check_trace_schema(tmp):
-            failures.append("rule trace-schema fired on the real schema")
-        with open(os.path.join(tmp, TRACE_DOC), encoding="utf-8") as f:
+        with open(os.path.join(REPO_ROOT, METRICS_DOC), encoding="utf-8") as f:
             doc_lines = f.read().splitlines(keepends=True)
-        dropped = [ln for ln in doc_lines if not ln.startswith("| `put`")]
-        if dropped == doc_lines:
-            failures.append("trace-schema self-test could not seed a "
-                            "violation (no `put` row in docs/TRACING.md)")
-        with open(os.path.join(tmp, TRACE_DOC), "w", encoding="utf-8") as f:
-            f.writelines(dropped)
-        if not any(f.rule == "trace-schema" for f in check_trace_schema(tmp)):
-            failures.append("rule trace-schema did not fire on seeded violation")
+        tmp_doc = os.path.join(tmp, METRICS_DOC)
+
+        def metrics_doc_with(lines):
+            with open(tmp_doc, "w", encoding="utf-8") as f:
+                f.writelines(lines)
+            return [f.message for f in check_metrics_doc(tmp)]
+
+        if metrics_doc_with(doc_lines):
+            failures.append("rule metrics-doc fired on the real doc")
+        dropped = [ln for ln in doc_lines
+                   if not ln.startswith("| `BLOCK_CACHE_HIT`")]
+        if not any("`block.cache.hit` is not documented" in m
+                   for m in metrics_doc_with(dropped)):
+            failures.append("rule metrics-doc did not fire on an "
+                            "undocumented name")
+        bogus = [ln.replace("`block.cache.hit`", "`block.cache.hits`")
+                 for ln in doc_lines]
+        if not any("`block.cache.hits` is not a registered ticker" in m
+                   for m in metrics_doc_with(bogus)):
+            failures.append("rule metrics-doc did not fire on an "
+                            "unregistered name")
 
         # blob-options-sync: clone the real trio; untouched it must be
         # clean, and dropping a field row from the DESIGN.md table must fire.
@@ -647,7 +665,7 @@ def main(argv):
     paths = [os.path.abspath(p) for p in args.paths] or None
     findings = []
     findings += check_metrics_registry(REPO_ROOT)
-    findings += check_trace_schema(REPO_ROOT)
+    findings += check_metrics_doc(REPO_ROOT)
     findings += check_blob_options_sync(REPO_ROOT)
     findings += check_shared_resources_sync(REPO_ROOT)
     findings += check_mutex_lock_order(REPO_ROOT, paths)

@@ -6,11 +6,7 @@
 //                     --db=/tmp/dbbench --cloud_dir=/tmp/dbbench_bucket
 //
 // Benchmarks: fillseq fillrandom readrandom readseq(scan) readwhilewriting
-//             ycsbA..ycsbF replay stats
-//
-// Tracing: --trace_file=PATH captures every op of the run (see
-// docs/TRACING.md); --benchmarks=replay --replay_file=PATH streams a
-// captured trace back through the store at --fast_forward speed.
+//             ycsbA..ycsbF stats
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,7 +17,6 @@
 #include "baselines/kvstore.h"
 #include "cloud/cost_meter.h"
 #include "env/env.h"
-#include "trace/replayer.h"
 #include "util/clock.h"
 #include "util/metrics.h"
 #include "util/perf_context.h"
@@ -58,13 +53,6 @@ struct Flags {
   // 0 = off, 1 = counters, 2 = counters + timers (thread-local PerfContext,
   // summarized after every phase).
   int perf_level = 0;
-  // Non-empty: capture every op of the run into this trace file
-  // (StartTrace before the first benchmark, EndTrace after the last).
-  std::string trace_file;
-  uint64_t trace_sampling = 1;  // Record 1 in N ops (per thread).
-  // The `replay` benchmark streams this captured trace through the store.
-  std::string replay_file;
-  double fast_forward = 0;  // 0 = max speed, 1 = recorded, N = N× faster.
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -119,7 +107,7 @@ void Usage() {
       "  --scheme=local|cloud|sstcache|rocksmash\n"
       "  --benchmarks=LIST      comma-separated: fillseq fillrandom\n"
       "                         readrandom readseq readwhilewriting\n"
-      "                         ycsbA..ycsbF replay stats\n"
+      "                         ycsbA..ycsbF stats\n"
       "  --num=N --reads=N --value_size=N --sync=0|1 --fresh_db=0|1\n"
       "  --db=PATH --cloud_dir=PATH --cloud_latency_us=N\n"
       "  --write_buffer_size=N --max_file_size=N --cache_size=N\n"
@@ -127,12 +115,7 @@ void Usage() {
       "  --max_open_files=N --distribution=zipfian|uniform|latest\n"
       "  --zipf_theta=F --seed=N\n"
       "  --statistics=0|1       collect + dump tickers/histograms per phase\n"
-      "  --perf_level=0|1|2     per-op PerfContext (1 counts, 2 +timers)\n"
-      "  --trace_file=PATH      capture the whole run as an op trace\n"
-      "  --trace_sampling=N     record 1 in N ops (default 1 = all)\n"
-      "  --replay_file=PATH     trace for the `replay` benchmark\n"
-      "  --fast_forward=F       replay pacing: 0 max speed, 1 recorded,\n"
-      "                         N = N x faster than recorded\n");
+      "  --perf_level=0|1|2     per-op PerfContext (1 counts, 2 +timers)\n");
 }
 
 SchemeKind ParseScheme(const std::string& s) {
@@ -222,11 +205,7 @@ int main(int argc, char** argv) {
         ParseFlag(a, "cloud_latency_us", &flags.cloud_latency_us) ||
         ParseFlag(a, "seed", &flags.seed) ||
         ParseFlag(a, "statistics", &flags.statistics) ||
-        ParseFlag(a, "perf_level", &flags.perf_level) ||
-        ParseFlag(a, "trace_file", &flags.trace_file) ||
-        ParseFlag(a, "trace_sampling", &flags.trace_sampling) ||
-        ParseFlag(a, "replay_file", &flags.replay_file) ||
-        ParseFlag(a, "fast_forward", &flags.fast_forward)) {
+        ParseFlag(a, "perf_level", &flags.perf_level)) {
       continue;
     }
     std::fprintf(stderr, "unknown flag: %s\n", a);
@@ -296,20 +275,6 @@ int main(int argc, char** argv) {
               (unsigned long long)flags.value_size,
               flags.benchmarks.c_str());
 
-  if (!flags.trace_file.empty()) {
-    trace::TraceOptions topts;
-    topts.sampling_frequency = flags.trace_sampling;
-    Status ts = store->StartTrace(topts, flags.trace_file);
-    if (!ts.ok()) {
-      std::fprintf(stderr, "StartTrace failed: %s\n", ts.ToString().c_str());
-      return 1;
-    }
-    std::printf("tracing to %s (sampling 1/%llu)\n", flags.trace_file.c_str(),
-                (unsigned long long)(flags.trace_sampling == 0
-                                         ? 1
-                                         : flags.trace_sampling));
-  }
-
   std::string benchmarks = flags.benchmarks;
   size_t pos = 0;
   while (pos != std::string::npos) {
@@ -350,33 +315,6 @@ int main(int argc, char** argv) {
                   name.c_str(), r.throughput_ops_sec,
                   r.read_latency_us.Percentile(99),
                   (unsigned long long)r.errors);
-    } else if (name == "replay") {
-      if (flags.replay_file.empty()) {
-        std::fprintf(stderr, "replay requires --replay_file=PATH\n");
-        return 1;
-      }
-      trace::ReplayOptions ropts;
-      ropts.fast_forward = flags.fast_forward;
-      ropts.statistics = statistics.get();
-      trace::Replayer replayer(store->db(), ropts);
-      trace::ReplayResult rr;
-      Status rs = replayer.Replay(Env::Default(), flags.replay_file, &rr);
-      if (!rs.ok()) {
-        std::fprintf(stderr, "replay failed: %s\n", rs.ToString().c_str());
-        return 1;
-      }
-      std::printf("%-18s : %10.0f ops/sec; %8llu ops; %llu threads; "
-                  "nf %llu err %llu; behind %.1f ms (max %.1f ms)\n",
-                  name.c_str(),
-                  rr.wall_micros > 0
-                      ? 1e6 * (double)rr.ops_issued / (double)rr.wall_micros
-                      : 0.0,
-                  (unsigned long long)rr.ops_issued,
-                  (unsigned long long)rr.threads,
-                  (unsigned long long)rr.not_found,
-                  (unsigned long long)rr.errors, rr.behind_total_us / 1000.0,
-                  rr.behind_max_us / 1000.0);
-      std::fflush(stdout);
     } else if (name == "stats") {
       PrintStats(store.get(), options.cloud);
     } else {
@@ -397,13 +335,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!flags.trace_file.empty()) {
-    Status ts = store->EndTrace();
-    if (!ts.ok()) {
-      std::fprintf(stderr, "EndTrace failed: %s\n", ts.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace written: %s\n", flags.trace_file.c_str());
-  }
   return 0;
 }

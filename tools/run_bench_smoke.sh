@@ -36,7 +36,6 @@ EXP_BENCHES=(
   bench_sensitivity
   bench_upload_pipeline
   bench_multiget
-  bench_replay
   bench_blob
   bench_shard
 )
@@ -107,22 +106,6 @@ if [ -s BENCH_scan.json ]; then
       fail=1
     fi
   done
-fi
-
-# Trace replay fidelity gate: bench_replay captures a sampling=1 trace
-# during its smoke workload and replays it; the replayed per-type op counts
-# must match the capture exactly, and the Chrome export must be well-formed
-# (the bench itself exits non-zero otherwise — this re-asserts on the
-# report so a silent report-format regression also fails).
-if [ -s BENCH_replay.json ]; then
-  if ! grep -q '"replay_counts_match": 1' BENCH_replay.json; then
-    echo "FAIL  bench_replay: replayed op counts do not match capture" >&2
-    fail=1
-  fi
-  if ! grep -q '"trace.records.written": [1-9]' BENCH_replay.json; then
-    echo "FAIL  bench_replay: ticker trace.records.written is zero or missing" >&2
-    fail=1
-  fi
 fi
 
 # The MultiGet bench must demonstrate real batching even at smoke scale:

@@ -8,8 +8,8 @@
 #   2. clang-tidy (config in .clang-tidy)
 #   3. clang-format --dry-run -Werror
 #   4. NO_THREAD_SAFETY_ANALYSIS escape-hatch audit (pure grep; always runs)
-#   5. project lint (tools/lint.py: metrics registry, lock-order comments,
-#      TODO tags, PermitUncheckedError reasons; always runs)
+#   5. project lint (tools/lint.py: metrics registry and doc, lock-order
+#      comments, TODO tags, PermitUncheckedError reasons; always runs)
 #
 # Usage: tools/run_static_analysis.sh [--format-only|--tidy-only|--tsa-only|--lint-only]
 set -u
