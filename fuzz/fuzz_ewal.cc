@@ -1,7 +1,8 @@
-// Fuzz eWAL recovery: the input is split across two segment files of one
-// logical log and replayed through the WalManager::Replay pipeline (per-
-// segment log::Reader framing + WriteBatch decode), exactly as crash
-// recovery would consume a torn multi-segment log.
+// Fuzz eWAL recovery: the input is replayed through the Wal::Replay
+// pipeline (per-segment log::Reader framing + WriteBatch decode) twice,
+// exactly as crash recovery would consume a torn log: split across two
+// segment files of one logical log, and whole as the only segment of a
+// one-segment log.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -11,7 +12,6 @@
 #include "lsm/filename.h"
 #include "lsm/wal.h"
 #include "lsm/write_batch.h"
-#include "mash/ewal.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -40,38 +40,45 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string dbname = "/fuzz-ewal";
   if (!env->CreateDir(dbname).ok()) return 0;
 
+  const auto apply = [](const Slice& record, int /*shard*/) {
+    if (record.size() < 12) {
+      return Status::Corruption("ewal record too small");
+    }
+    WriteBatch batch;
+    WriteBatchInternal::SetContents(&batch, record);
+    NullHandler handler;
+    return batch.Iterate(&handler);
+  };
+
   // Stripe the input over two segments the way the writer round-robins
   // records: first half to segment 0, second half to segment 1.
-  constexpr uint64_t kLogNumber = 7;
+  constexpr uint64_t kTwoSegmentLog = 7;
   const size_t half = size / 2;
-  const Slice seg0(reinterpret_cast<const char*>(data), half);
-  const Slice seg1(reinterpret_cast<const char*>(data) + half, size - half);
-  if (!WriteStringToFile(env.get(), seg0, EWalFileName(dbname, kLogNumber, 0))
+  const Slice whole(reinterpret_cast<const char*>(data), size);
+  const Slice seg0(whole.data(), half);
+  const Slice seg1(whole.data() + half, size - half);
+  if (!WriteStringToFile(env.get(), seg0,
+                         EWalFileName(dbname, kTwoSegmentLog, 0))
            .ok() ||
-      !WriteStringToFile(env.get(), seg1, EWalFileName(dbname, kLogNumber, 1))
+      !WriteStringToFile(env.get(), seg1,
+                         EWalFileName(dbname, kTwoSegmentLog, 1))
            .ok()) {
     return 0;
   }
-
-  EWalOptions opts;
-  opts.segments = 2;
-  opts.replay_threads = 1;  // deterministic coverage
-  std::unique_ptr<WalManager> wal = NewEWalManager(env.get(), dbname, opts);
-
-  Status s = wal->Replay(
-      kLogNumber,
-      [](const Slice& record, int /*shard*/) {
-        if (record.size() < 12) {
-          return Status::Corruption("ewal record too small");
-        }
-        WriteBatch batch;
-        WriteBatchInternal::SetContents(&batch, record);
-        NullHandler handler;
-        return batch.Iterate(&handler);
-      },
-      nullptr);
+  Wal two(env.get(), dbname, /*segments=*/2);
   // why unchecked: Corruption from a torn segment is an expected outcome;
   // the harness only guards against crashes and hangs.
-  s.PermitUncheckedError();
+  two.Replay(kTwoSegmentLog, apply).PermitUncheckedError();
+
+  // The same bytes as the whole of a one-segment log.
+  constexpr uint64_t kOneSegmentLog = 8;
+  if (!WriteStringToFile(env.get(), whole,
+                         EWalFileName(dbname, kOneSegmentLog, 0))
+           .ok()) {
+    return 0;
+  }
+  Wal one(env.get(), dbname, /*segments=*/1);
+  // why unchecked: as above.
+  one.Replay(kOneSegmentLog, apply).PermitUncheckedError();
   return 0;
 }

@@ -1,6 +1,6 @@
 // Generates the checked-in seed corpora under fuzz/corpus/. Each target
 // gets a handful of well-formed artifacts produced by the real writers
-// (BlockBuilder, log::Writer, VersionEdit::EncodeTo) plus deterministic
+// (BlockBuilder, log::Writer, Wal, VersionEdit::EncodeTo) plus deterministic
 // truncations and bit-flips so the corpora cover both happy and corrupt
 // paths from the first fuzz iteration.
 //
@@ -9,12 +9,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "env/env.h"
+#include "lsm/filename.h"
 #include "lsm/log_writer.h"
 #include "lsm/version_edit.h"
+#include "lsm/wal.h"
 #include "lsm/write_batch.h"
 #include "table/blob_file.h"
 #include "table/blob_format.h"
@@ -120,6 +123,31 @@ std::string BuildWalLog() {
   return file.contents();
 }
 
+// The one segment of a one-segment log, written by the engine's Wal: small
+// batches only, so its framing differs from BuildWalLog's.
+std::string BuildOneSegmentLog() {
+  std::unique_ptr<Env> env = NewMemEnv();
+  Wal wal(env.get(), "/seed", /*segments=*/1);
+  if (!wal.NewLog(1).ok()) std::exit(1);
+  for (int i = 0; i < 16; i++) {
+    WriteBatch batch;
+    char key[16];
+    std::snprintf(key, sizeof(key), "seg%04d", i);
+    batch.Put(Slice(key), Slice("one-segment-value"));
+    WriteBatchInternal::SetSequence(&batch, 1 + static_cast<uint64_t>(i));
+    if (!wal.AddRecord(WriteBatchInternal::Contents(&batch)).ok()) {
+      std::exit(1);
+    }
+  }
+  std::string contents;
+  if (!wal.CloseLog().ok() ||
+      !ReadFileToString(env.get(), EWalFileName("/seed", 1, 0), &contents)
+           .ok()) {
+    std::exit(1);
+  }
+  return contents;
+}
+
 std::string BuildManifestLog() {
   StringFile file;
   log::Writer writer(&file);
@@ -181,12 +209,14 @@ int main(int argc, char** argv) {
   fs::create_directories(wal);
   EmitWithMutations(wal, "wal", BuildWalLog());
 
-  // The eWAL harness splits its input in half across two segments; a
-  // doubled log gives both segments intact framing.
+  // The eWAL harness splits its input in half across two segments and also
+  // replays it whole as one segment: a doubled log gives both halves intact
+  // framing, a one-segment log gives the whole-input replay intact framing.
   const fs::path ewal = root / "fuzz_ewal";
   fs::create_directories(ewal);
   const std::string wal_log = BuildWalLog();
   EmitWithMutations(ewal, "segments", wal_log + wal_log);
+  EmitWithMutations(ewal, "one-segment", BuildOneSegmentLog());
 
   const fs::path manifest = root / "fuzz_manifest";
   fs::create_directories(manifest);

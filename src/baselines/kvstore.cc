@@ -9,8 +9,6 @@
 #include "lsm/dbformat.h"
 #include "lsm/filename.h"
 #include "lsm/sharded_db.h"
-#include "lsm/wal.h"
-#include "mash/ewal.h"
 #include "mash/placement.h"
 #include "util/prefix_extractor.h"
 
@@ -423,13 +421,7 @@ Status OpenKVStore(const SchemeOptions& options,
         ts.pin_hot_files = options.pin_hot_files;
         ts.async_uploads = options.async_uploads;
         kv->storages_.push_back(std::make_unique<TieredTableStorage>(ts));
-        // wal_segments <= 1 leaves the engine its classic WAL.
-        if (options.wal_segments > 1) {
-          EWalOptions ew;
-          ew.segments = options.wal_segments;
-          kv->wals_.push_back(NewEWalManager(env, shard_dir, ew));
-          dbo.wal_manager = kv->wals_.back().get();
-        }
+        dbo.wal_segments = options.wal_segments;
         break;
     }
 

@@ -139,7 +139,7 @@ struct KVStoreStats {
 };
 
 // One store: a scheme's per-shard table storages (plus, for kRocksMash, the
-// persistent cache and eWALs) under one engine DB, all drawing on one
+// persistent cache) under one engine DB, all drawing on one
 // SharedResources. The whole data path -- including the batched MultiGet
 // and the unique_ptr iterator API -- is forwarded to the DB, so every scheme
 // exposes exactly the DB interface.
@@ -219,13 +219,12 @@ class KVStore {
 
   SchemeOptions options_;
   // Members are destroyed in reverse order: the engine first (it uses the
-  // storages and WALs), then the WALs and storages, then the persistent
-  // cache the storages read through, and the shared pools last, because
-  // everything above may schedule on them.
+  // storages), then the storages, then the persistent cache the storages
+  // read through, and the shared pools last, because everything above may
+  // schedule on them.
   std::shared_ptr<SharedResources> shared_resources_;
   std::unique_ptr<PersistentCache> pcache_;  // kRocksMash with a cloud
   std::vector<std::unique_ptr<TableStorage>> storages_;  // One per shard
-  std::vector<std::unique_ptr<WalManager>> wals_;        // kRocksMash eWALs
   std::unique_ptr<DB> db_;
 };
 

@@ -239,6 +239,7 @@ DBImpl::DBImpl(const DBOptions& raw_options, const std::string& dbname)
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
       env_(options_.env),
+      wal_(env_, dbname_, options_.wal_segments),
       background_work_finished_signal_(&mutex_),
       apply_done_signal_(&mutex_),
       stats_dump_cv_(&mutex_) {
@@ -253,12 +254,6 @@ DBImpl::DBImpl(const DBOptions& raw_options, const std::string& dbname)
   } else {
     owned_storage_ = NewLocalTableStorage(env_, dbname_);
     storage_ = owned_storage_.get();
-  }
-  if (options_.wal_manager != nullptr) {
-    wal_ = options_.wal_manager;
-  } else {
-    owned_wal_ = NewClassicWalManager(env_, dbname_);
-    wal_ = owned_wal_.get();
   }
   if (options_.block_cache != nullptr) {
     block_cache_ = options_.block_cache;
@@ -335,8 +330,8 @@ Status DBImpl::Close() {
   // Make everything the WAL buffered durable before teardown: an error here
   // means acknowledged unsynced writes could vanish on a crash-free
   // shutdown, so it must reach the caller (previously it was dropped).
-  Status s = wal_->Sync();
-  Status close = wal_->CloseLog();
+  Status s = wal_.Sync();
+  Status close = wal_.CloseLog();
   if (s.ok()) {
     s = std::move(close);
   } else {
@@ -557,15 +552,15 @@ Status DBImpl::Recover(VersionEdit* edit) {
     return s;
   }
 
-  // Replay all log files newer than the last flushed log. The WalManager
-  // may fan each log's records out across shards; entries are applied with
-  // their original sequence numbers so out-of-order application across
-  // shards is safe.
+  // Replay all log files newer than the last flushed log. The WAL fans each
+  // log's records out across shards; entries are applied with their
+  // original sequence numbers so out-of-order application across shards is
+  // safe.
   SystemClock* wall = SystemClock::Default();
   const uint64_t recover_start = wall->NowMicros();
 
   std::vector<uint64_t> logs;
-  s = wal_->ListLogs(&logs);
+  s = wal_.ListLogs(&logs);
   if (!s.ok()) return s;
 
   const uint64_t min_log = versions_->LogNumber();
@@ -575,7 +570,7 @@ Status DBImpl::Recover(VersionEdit* edit) {
   std::atomic<uint64_t> bytes{0};
   std::atomic<uint64_t> max_seq_atomic{0};
 
-  const int max_shards = std::max(1, wal_->MaxShards());
+  const int max_shards = wal_.MaxShards();
   recovery_stats_.shards_used = max_shards;
 
   for (uint64_t log_number : logs) {
@@ -614,8 +609,8 @@ Status DBImpl::Recover(VersionEdit* edit) {
     };
 
     const uint64_t replay_start = wall->NowMicros();
-    WalManager::ReplayTelemetry telemetry;
-    s = wal_->Replay(log_number, apply, &telemetry);
+    Wal::ReplayTelemetry telemetry;
+    s = wal_.Replay(log_number, apply, &telemetry);
     const uint64_t replay_micros = wall->NowMicros() - replay_start;
     recovery_stats_.replay_micros += replay_micros;
     RecordTick(options_.statistics, RECOVERY_LOGS_REPLAYED);
@@ -661,9 +656,7 @@ Status DBImpl::Recover(VersionEdit* edit) {
         // and pollutes the critical-path timings.
         const int hw =
             std::max(1u, std::thread::hardware_concurrency());
-        const int threads = std::max(
-            1, std::min({options_.recovery_threads,
-                         static_cast<int>(pending.size()), hw}));
+        const int threads = std::min(static_cast<int>(pending.size()), hw);
         ThreadPool pool(threads, "recovery-flush");
         for (Pending& p : pending) {
           Pending* pp = &p;
@@ -2334,7 +2327,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       const Slice contents = WriteBatchInternal::Contents(write_batch);
       {
         PerfScope wal_scope(&PerfContext::wal_write_time);
-        status = wal_->AddRecord(contents);
+        status = wal_.AddRecord(contents);
       }
       RecordTick(options_.statistics, WAL_WRITES);
       RecordTick(options_.statistics, WAL_BYTES, contents.size());
@@ -2342,7 +2335,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       if (status.ok() && options.sync) {
         StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
         PerfScope sync_scope(&PerfContext::wal_sync_time);
-        status = wal_->Sync();
+        status = wal_.Sync();
         if (status.ok()) {
           RecordTick(options_.statistics, WAL_SYNCS);
         } else {
@@ -2406,7 +2399,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 // Two-stage write path. Stage 1 (WAL): the queue-front leader makes room,
 // builds the group, allocates its sequence range from
 // last_allocated_sequence_, and appends+syncs the single merged WAL record
-// while still holding queue leadership — so the WalManager keeps seeing one
+// while still holding queue leadership — so the WAL keeps seeing one
 // appender at a time and the eWAL's shard round-robin stays single-writer.
 // Stage 2 (apply): the group moves to applying_groups_, the queue is handed
 // to the next leader (whose WAL stage now overlaps with this apply), and the
@@ -2506,13 +2499,13 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
     assert(seq == group.last_sequence + 1);
 
     // WAL stage with the mutex released. We still hold queue leadership, so
-    // the externally synchronized WalManager sees a single appender and
+    // the externally synchronized WAL sees a single appender and
     // tmp_batch_ stays ours until the hand-off below.
     mutex_.Unlock();
     const Slice contents = WriteBatchInternal::Contents(wal_batch);
     {
       PerfScope wal_scope(&PerfContext::wal_write_time);
-      status = wal_->AddRecord(contents);
+      status = wal_.AddRecord(contents);
     }
     RecordTick(options_.statistics, WAL_WRITES);
     RecordTick(options_.statistics, WAL_BYTES, contents.size());
@@ -2526,7 +2519,7 @@ Status DBImpl::PipelinedWrite(const WriteOptions& options,
     if (status.ok() && options.sync) {
       StopWatch sync_sw(options_.statistics, WAL_SYNC_LATENCY_US);
       PerfScope sync_scope(&PerfContext::wal_sync_time);
-      status = wal_->Sync();
+      status = wal_.Sync();
       if (status.ok()) {
         RecordTick(options_.statistics, WAL_SYNCS);
       } else {
@@ -2824,7 +2817,7 @@ Status DBImpl::MakeRoomForWrite(bool force, uint64_t* stall_micros) {
       // Attempt to switch to a new memtable and trigger flush of old.
       assert(versions_->LogNumber() <= logfile_number_);
       uint64_t new_log_number = versions_->NewFileNumber();
-      s = wal_->NewLog(new_log_number);
+      s = wal_.NewLog(new_log_number);
       if (!s.ok()) {
         // Avoid chewing through file number space in a tight loop.
         versions_->ReuseFileNumber(new_log_number);
@@ -3052,7 +3045,7 @@ Status DB::Open(const DBOptions& options, const std::string& dbname,
   if (s.ok()) {
     // Start a fresh log for the new incarnation.
     uint64_t new_log_number = impl->versions_->NewFileNumber();
-    s = impl->wal_->NewLog(new_log_number);
+    s = impl->wal_.NewLog(new_log_number);
     if (s.ok()) {
       impl->logfile_number_ = new_log_number;
       impl->mem_ = new MemTable(impl->internal_comparator_);

@@ -1,6 +1,6 @@
 // DBImpl: the engine. Single write-group mutex, decoupled background flush
-// and compaction lanes (owned thread pools), pluggable TableStorage +
-// WalManager.
+// and compaction lanes (owned thread pools), pluggable TableStorage, and
+// the one write-ahead log (lsm/wal.h) the engine builds and owns.
 //
 // Locking: one Mutex (mutex_) guards all mutable DB state; long I/O
 // (table builds, MANIFEST writes, obsolete-file deletion) drops it and
@@ -178,11 +178,10 @@ class DBImpl final : public DB {
 
   // Owned defaults for pluggable pieces the caller left null.
   std::unique_ptr<TableStorage> owned_storage_;
-  std::unique_ptr<WalManager> owned_wal_;
   std::unique_ptr<Cache> owned_block_cache_;
   TableStorage* storage_;
-  WalManager* wal_;
   Cache* block_cache_;
+  Wal wal_;  // Striped over options_.wal_segments segment files.
 
   std::unique_ptr<TableCache> table_cache_;
   // Open blob-file readers (point reads + compaction GC). Same sharing and
@@ -249,7 +248,7 @@ class DBImpl final : public DB {
   // are DB-owned by default; with Options::shared_resources set they are
   // the shared lanes every shard draws from (Close then waits out this
   // DB's in-flight jobs via the bg flags instead of shutting the pool
-  // down — same owned/raw pattern as storage_/wal_/block_cache_ above).
+  // down — same owned/raw pattern as storage_/block_cache_ above).
   std::unique_ptr<ThreadPool> owned_flush_pool_;
   std::unique_ptr<ThreadPool> owned_compaction_pool_;
   ThreadPool* flush_pool_ = nullptr;

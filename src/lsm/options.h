@@ -1,6 +1,6 @@
 // Options controlling the engine. One engine serves RocksMash and all three
-// baselines: the difference is which TableStorage / WalManager / caches are
-// plugged in.
+// baselines: the difference is which TableStorage / caches are plugged in
+// and how many segments the write-ahead log is striped over.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,6 @@ namespace rocksmash {
 
 class Env;
 class TableStorage;
-class WalManager;
 class FilterPolicy;
 class Logger;
 class PrefixExtractor;
@@ -69,9 +68,10 @@ struct DBOptions {
   // baselines are provided via this hook. Not owned.
   TableStorage* table_storage = nullptr;
 
-  // WAL implementation. nullptr: classic single-file WAL. The eWAL is
-  // provided via this hook. Not owned.
-  WalManager* wal_manager = nullptr;
+  // Segment files each write-ahead log is striped over (lsm/wal.h). 1 is a
+  // single-file log; RocksMash's eWAL uses more for parallel recovery.
+  // Values < 1 are treated as 1.
+  int wal_segments = 1;
 
   // RAM block cache shared across tables. Not owned; nullptr: 8 MiB default
   // cache owned by the DB.
@@ -115,10 +115,6 @@ struct DBOptions {
 
   // Number of open tables kept in the table cache.
   int max_open_files = 1000;
-
-  // Threads used for parallel WAL replay at startup (bounded additionally
-  // by the WAL's shard count).
-  int recovery_threads = 4;
 
   // Background job lanes. Flushes and compactions run on separate owned
   // thread pools so a memtable flush never queues behind a long compaction

@@ -181,10 +181,10 @@ Status ShardedDB::Open(const DBOptions& base, const std::string& name,
     return Status::InvalidArgument("ShardedDB::Open",
                                    "num_shards must be >= 1");
   }
-  if (base.table_storage != nullptr || base.wal_manager != nullptr) {
+  if (base.table_storage != nullptr) {
     return Status::InvalidArgument(
         "ShardedDB::Open",
-        "table_storage/wal_manager are per-shard; use the ShardSpec overload");
+        "table_storage is per-shard; use the ShardSpec overload");
   }
   Env* env = base.env != nullptr ? base.env : Env::Default();
   Status s = env->CreateDirRecursively(name);

@@ -62,8 +62,8 @@ class ShardedDB : public DB {
   // `name/SHARDS` marker (reopening with a different count returns
   // InvalidArgument), and gives every shard `base` with a common
   // SharedResources (created from the base knobs when base.shared_resources
-  // is null). base.table_storage / base.wal_manager must be null — those
-  // are per-shard objects; use the ShardSpec overload to supply them.
+  // is null). base.table_storage must be null — it is a per-shard
+  // object; use the ShardSpec overload to supply one.
   static Status Open(const DBOptions& base, const std::string& name,
                      int num_shards, std::unique_ptr<DB>* dbptr);
 

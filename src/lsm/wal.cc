@@ -1,190 +1,173 @@
-// Classic single-file WAL.
+#include "lsm/wal.h"
+
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "env/env.h"
 #include "lsm/filename.h"
-#include "util/clock.h"
 #include "lsm/log_reader.h"
 #include "lsm/log_writer.h"
-#include "lsm/wal.h"
+#include "util/clock.h"
+#include "util/mutexlock.h"
+#include "util/thread_pool.h"
 
 namespace rocksmash {
 
-namespace {
-
-class ClassicWalManager final : public WalManager {
- public:
-  ClassicWalManager(Env* env, std::string dbname)
-      : env_(env), dbname_(std::move(dbname)) {}
-
-  Status NewLog(uint64_t number) override {
-    Status s = CloseLog();
-    if (!s.ok()) return s;
-    s = env_->NewWritableFile(LogFileName(dbname_, number), &file_);
-    if (!s.ok()) return s;
-    writer_ = std::make_unique<log::Writer>(file_.get());
-    return Status::OK();
-  }
-
-  Status AddRecord(const Slice& record) override {
-    if (writer_ == nullptr) return Status::IOError("no open WAL");
-    return writer_->AddRecord(record);
-  }
-
-  Status Sync() override {
-    if (file_ == nullptr) return Status::OK();
-    return file_->Sync();
-  }
-
-  Status CloseLog() override {
-    writer_.reset();
-    if (file_ != nullptr) {
-      Status s = file_->Close();
-      file_.reset();
-      return s;
-    }
-    return Status::OK();
-  }
-
-  Status ListLogs(std::vector<uint64_t>* numbers) override {
-    // Lists logs of BOTH formats so that switching between the classic WAL
-    // and the eWAL across restarts never silently drops a log: whichever
-    // manager is configured replays everything on disk.
-    numbers->clear();
-    std::vector<std::string> children;
-    Status s = env_->GetChildren(dbname_, &children);
-    if (!s.ok()) return s;
-    std::set<uint64_t> unique;
-    for (const auto& child : children) {
-      uint64_t number;
-      FileType type;
-      int segment;
-      if (ParseFileName(child, &number, &type) && type == FileType::kLogFile) {
-        unique.insert(number);
-      } else if (ParseEWalFileName(child, &number, &segment)) {
-        unique.insert(number);
-      }
-    }
-    numbers->assign(unique.begin(), unique.end());
-    return Status::OK();
-  }
-
-  Status RemoveLog(uint64_t number) override {
-    // Remove whichever format(s) exist for this number; a log absent in
-    // both formats is a successful no-op. First failure wins.
-    Status result = Status::OK();
-    if (env_->FileExists(LogFileName(dbname_, number))) {
-      result = env_->RemoveFile(LogFileName(dbname_, number));
-    }
-    std::vector<std::string> children;
-    if (env_->GetChildren(dbname_, &children).ok()) {
-      for (const auto& child : children) {
-        uint64_t n;
-        int segment;
-        if (ParseEWalFileName(child, &n, &segment) && n == number) {
-          Status rs = env_->RemoveFile(dbname_ + "/" + child);
-          if (result.ok()) {
-            result = std::move(rs);
-          } else {
-            // why unchecked: an earlier removal already failed and its error
-            // is what the caller sees; later segment failures are subsumed.
-            rs.PermitUncheckedError();
-          }
-        }
-      }
-    }
-    return result;
-  }
-
-  Status Replay(uint64_t number,
-                const std::function<Status(const Slice& record, int shard)>&
-                    apply,
-                ReplayTelemetry* telemetry) override {
-    const uint64_t start = SystemClock::Default()->NowMicros();
-
-    if (!env_->FileExists(LogFileName(dbname_, number))) {
-      // The log was written by the eWAL: replay its segments sequentially
-      // on shard 0 (record sequence numbers make cross-segment order
-      // irrelevant).
-      Status s = ReplayEWalSegments(number, apply);
-      if (telemetry != nullptr) {
-        telemetry->shard_micros.assign(
-            1, SystemClock::Default()->NowMicros() - start);
-      }
-      return s;
-    }
-    struct LogReporter : public log::Reader::Reporter {
-      Status* status;
-      void Corruption(size_t /*bytes*/, const Status& s) override {
-        if (status->ok()) *status = s;
-      }
-    };
-
-    std::unique_ptr<SequentialFile> file;
-    Status s = env_->NewSequentialFile(LogFileName(dbname_, number), &file);
-    if (!s.ok()) return s;
-
-    Status corruption;
-    LogReporter reporter;
-    reporter.status = &corruption;
-    log::Reader reader(file.get(), &reporter);
-
-    Slice record;
-    std::string scratch;
-    while (reader.ReadRecord(&record, &scratch)) {
-      s = apply(record, 0);
-      if (!s.ok()) return s;
-    }
-    // A corrupt tail truncates recovery at that point (point-in-time
-    // semantics): everything before the corruption was applied, the torn
-    // tail is dropped.
-    if (telemetry != nullptr) {
-      telemetry->shard_micros.assign(
-          1, SystemClock::Default()->NowMicros() - start);
-    }
-    return Status::OK();
-  }
-
-  int MaxShards() const override { return 1; }
-
- private:
-  Status ReplayEWalSegments(
-      uint64_t number,
-      const std::function<Status(const Slice& record, int shard)>& apply) {
-    std::vector<std::string> children;
-    Status s = env_->GetChildren(dbname_, &children);
-    if (!s.ok()) return s;
-    std::sort(children.begin(), children.end());
-    for (const auto& child : children) {
-      uint64_t n;
-      int segment;
-      if (!ParseEWalFileName(child, &n, &segment) || n != number) continue;
-      std::unique_ptr<SequentialFile> file;
-      s = env_->NewSequentialFile(dbname_ + "/" + child, &file);
-      if (!s.ok()) return s;
-      log::Reader reader(file.get(), /*reporter=*/nullptr);
-      Slice record;
-      std::string scratch;
-      while (reader.ReadRecord(&record, &scratch)) {
-        s = apply(record, 0);
-        if (!s.ok()) return s;
-      }
-    }
-    return Status::OK();
-  }
-
-  Env* env_;
-  std::string dbname_;
-  std::unique_ptr<WritableFile> file_;
-  std::unique_ptr<log::Writer> writer_;
+struct Wal::Segment {
+  std::unique_ptr<WritableFile> file;
+  std::unique_ptr<log::Writer> writer;
+  bool dirty = false;
 };
 
-}  // namespace
+Wal::Wal(Env* env, std::string dbname, int segments)
+    : env_(env), dbname_(std::move(dbname)), segments_(std::max(1, segments)) {}
 
-std::unique_ptr<WalManager> NewClassicWalManager(Env* env,
-                                                 const std::string& dbname) {
-  return std::make_unique<ClassicWalManager>(env, dbname);
+Wal::~Wal() = default;
+
+Status Wal::NewLog(uint64_t number) {
+  Status s = CloseLog();
+  if (!s.ok()) return s;
+  open_segments_.resize(segments_);
+  for (int k = 0; k < segments_; k++) {
+    Segment& seg = open_segments_[k];
+    s = env_->NewWritableFile(EWalFileName(dbname_, number, k), &seg.file);
+    if (!s.ok()) return s;
+    seg.writer = std::make_unique<log::Writer>(seg.file.get());
+    seg.dirty = false;
+  }
+  next_segment_ = 0;
+  return Status::OK();
+}
+
+Status Wal::AddRecord(const Slice& record) {
+  if (open_segments_.empty()) return Status::IOError("no open WAL");
+  Segment& seg = open_segments_[next_segment_];
+  next_segment_ = (next_segment_ + 1) % segments_;
+  Status s = seg.writer->AddRecord(record);
+  if (s.ok()) seg.dirty = true;
+  return s;
+}
+
+Status Wal::Sync() {
+  // fsync epoch: every segment written since the last Sync becomes durable
+  // before the write is acked.
+  for (auto& seg : open_segments_) {
+    if (seg.dirty && seg.file != nullptr) {
+      Status s = seg.file->Sync();
+      if (!s.ok()) return s;
+      seg.dirty = false;
+    }
+  }
+  return Status::OK();
+}
+
+Status Wal::CloseLog() {
+  Status result;
+  for (auto& seg : open_segments_) {
+    seg.writer.reset();
+    if (seg.file != nullptr) {
+      Status s = seg.file->Close();
+      if (result.ok()) result = s;
+      seg.file.reset();
+    }
+  }
+  open_segments_.clear();
+  return result;
+}
+
+Status Wal::ScanLogFiles(std::vector<LogFile>* files) {
+  files->clear();
+  std::vector<std::string> children;
+  Status s = env_->GetChildren(dbname_, &children);
+  if (!s.ok()) return s;
+  for (const auto& child : children) {
+    uint64_t number;
+    int segment;
+    FileType type;
+    if (ParseEWalFileName(child, &number, &segment)) {
+      // A log written with a different K folds onto this K's shards.
+      files->push_back({number, dbname_ + "/" + child, segment % segments_});
+    } else if (ParseFileName(child, &number, &type) &&
+               type == FileType::kLogFile) {
+      files->push_back({number, dbname_ + "/" + child, 0});
+    }
+  }
+  return Status::OK();
+}
+
+Status Wal::ListLogs(std::vector<uint64_t>* numbers) {
+  numbers->clear();
+  std::vector<LogFile> files;
+  Status s = ScanLogFiles(&files);
+  if (!s.ok()) return s;
+  std::set<uint64_t> unique;
+  for (const LogFile& f : files) unique.insert(f.number);
+  numbers->assign(unique.begin(), unique.end());
+  return Status::OK();
+}
+
+Status Wal::Replay(
+    uint64_t number,
+    const std::function<Status(const Slice& record, int shard)>& apply,
+    ReplayTelemetry* telemetry) {
+  // A crash may have happened before all K segments were created, or K may
+  // differ from the writer's K: replay whatever files exist.
+  std::vector<LogFile> lanes;
+  Status s = ScanLogFiles(&lanes);
+  if (!s.ok()) return s;
+  lanes.erase(std::remove_if(lanes.begin(), lanes.end(),
+                             [number](const LogFile& f) {
+                               return f.number != number;
+                             }),
+              lanes.end());
+  if (lanes.empty()) return Status::OK();
+
+  // Never oversubscribe the cores: beyond hardware concurrency, extra
+  // threads only timeshare (no wall-clock win) and pollute the per-lane
+  // timings that model the parallel critical path.
+  const int hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int threads = std::min(static_cast<int>(lanes.size()), hw);
+
+  // One mutex per shard: lanes that map onto one shard (a legacy file on
+  // shard 0, or a log written with a larger K) serialize their apply calls
+  // instead of racing.
+  std::vector<Mutex> shard_mutexes(segments_);
+  std::vector<Status> statuses(lanes.size());
+  std::vector<uint64_t> micros(lanes.size(), 0);
+  {
+    ThreadPool pool(threads, "wal-replay");
+    for (size_t i = 0; i < lanes.size(); i++) {
+      const LogFile* lane = &lanes[i];
+      Status* out = &statuses[i];
+      uint64_t* out_micros = &micros[i];
+      pool.Schedule([this, lane, &apply, &shard_mutexes, out, out_micros] {
+        const uint64_t start = SystemClock::Default()->NowMicros();
+        std::unique_ptr<SequentialFile> file;
+        *out = env_->NewSequentialFile(lane->path, &file);
+        if (out->ok()) {
+          // Corruption truncates this lane's replay only (point-in-time
+          // semantics per segment).
+          log::Reader reader(file.get(), /*reporter=*/nullptr);
+          Slice record;
+          std::string scratch;
+          while (out->ok() && reader.ReadRecord(&record, &scratch)) {
+            MutexLock l(&shard_mutexes[lane->shard]);
+            *out = apply(record, lane->shard);
+          }
+        }
+        *out_micros = SystemClock::Default()->NowMicros() - start;
+      });
+    }
+    pool.WaitIdle();
+  }
+  if (telemetry != nullptr) telemetry->shard_micros = micros;
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
 }
 
 }  // namespace rocksmash

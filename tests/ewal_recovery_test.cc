@@ -8,8 +8,11 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
+#include "lsm/dbformat.h"
 #include "lsm/filename.h"
-#include "mash/ewal.h"
+#include "lsm/log_writer.h"
+#include "lsm/wal.h"
+#include "lsm/write_batch.h"
 #include "mash/recovery.h"
 #include "util/mutexlock.h"
 
@@ -20,13 +23,11 @@ class EWalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = NewMemEnv();
-    EWalOptions options;
-    options.segments = 4;
-    wal_ = NewEWalManager(env_.get(), "/db", options);
+    wal_ = std::make_unique<Wal>(env_.get(), "/db", /*segments=*/4);
   }
 
   std::unique_ptr<Env> env_;
-  std::unique_ptr<WalManager> wal_;
+  std::unique_ptr<Wal> wal_;
 };
 
 TEST_F(EWalTest, StripesAcrossSegmentFiles) {
@@ -84,16 +85,6 @@ TEST_F(EWalTest, ListLogsDeduplicatesSegments) {
   EXPECT_EQ(9u, logs[1]);
 }
 
-TEST_F(EWalTest, RemoveLogDeletesAllSegments) {
-  ASSERT_TRUE(wal_->NewLog(4).ok());
-  ASSERT_TRUE(wal_->AddRecord("x").ok());
-  ASSERT_TRUE(wal_->CloseLog().ok());
-  ASSERT_TRUE(wal_->RemoveLog(4).ok());
-  for (int k = 0; k < 4; k++) {
-    EXPECT_FALSE(env_->FileExists(EWalFileName("/db", 4, k)));
-  }
-}
-
 TEST_F(EWalTest, CorruptSegmentTruncatesOnlyThatShard) {
   ASSERT_TRUE(wal_->NewLog(5).ok());
   for (int i = 0; i < 40; i++) {
@@ -137,14 +128,7 @@ class RecoveryParam : public ::testing::TestWithParam<int> {
               std::to_string(segments_);
     std::filesystem::remove_all(dbname_);
     ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname_).ok());
-    if (segments_ > 1) {
-      EWalOptions ew;
-      ew.segments = segments_;
-      wal_ = NewEWalManager(Env::Default(), dbname_, ew);
-    } else {
-      wal_ = NewClassicWalManager(Env::Default(), dbname_);
-    }
-    options_.wal_manager = wal_.get();
+    options_.wal_segments = segments_;
     options_.write_buffer_size = 32 * 1024 * 1024;  // Avoid flushes.
   }
 
@@ -152,7 +136,6 @@ class RecoveryParam : public ::testing::TestWithParam<int> {
 
   int segments_ = 1;
   std::string dbname_;
-  std::unique_ptr<WalManager> wal_;
   DBOptions options_;
 };
 
@@ -196,31 +179,29 @@ TEST_P(RecoveryParam, RepeatedCrashRecoverCycles) {
 INSTANTIATE_TEST_SUITE_P(WalShards, RecoveryParam,
                          ::testing::Values(1, 2, 4, 8));
 
-// Switching WAL implementations between runs must not lose data: each
-// manager lists and replays BOTH formats.
-class WalSwitchTest : public ::testing::TestWithParam<bool> {};
+// Changing the segment count between runs must not lose data: the WAL
+// lists and replays every file of a log whatever K wrote it.
+class WalSwitchTest
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
 
-TEST_P(WalSwitchTest, DataSurvivesWalKindSwitch) {
-  const bool classic_first = GetParam();
+TEST_P(WalSwitchTest, DataSurvivesSegmentCountSwitch) {
+  const int first = GetParam().first;
+  const int second = GetParam().second;
   std::string dbname = ::testing::TempDir() + "/rocksmash_walswitch_" +
-                       (classic_first ? "ce" : "ec");
+                       std::to_string(first) + "_" + std::to_string(second);
   std::filesystem::remove_all(dbname);
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
 
-  auto make_wal = [&](bool classic) -> std::unique_ptr<WalManager> {
-    if (classic) return NewClassicWalManager(Env::Default(), dbname);
-    EWalOptions ew;
-    ew.segments = 4;
-    return NewEWalManager(Env::Default(), dbname, ew);
+  auto options_for = [](int segments) {
+    DBOptions options;
+    options.wal_segments = segments;
+    options.write_buffer_size = 8 << 20;
+    return options;
   };
 
   {
-    auto wal = make_wal(classic_first);
-    DBOptions options;
-    options.wal_manager = wal.get();
-    options.write_buffer_size = 8 << 20;
     std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    ASSERT_TRUE(DB::Open(options_for(first), dbname, &db).ok());
     WriteOptions sync;
     sync.sync = true;
     for (int i = 0; i < 300; i++) {
@@ -228,17 +209,13 @@ TEST_P(WalSwitchTest, DataSurvivesWalKindSwitch) {
           db->Put(sync, "k" + std::to_string(i), "v" + std::to_string(i))
               .ok());
     }
-    // No flush: everything lives in the first-format WAL.
+    // No flush: everything lives in the first run's segments.
   }
 
   {
-    // Reopen with the OTHER WAL kind.
-    auto wal = make_wal(!classic_first);
-    DBOptions options;
-    options.wal_manager = wal.get();
-    options.write_buffer_size = 8 << 20;
+    // Reopen with the OTHER segment count.
     std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    ASSERT_TRUE(DB::Open(options_for(second), dbname, &db).ok());
     std::string value;
     for (int i = 0; i < 300; i++) {
       ASSERT_TRUE(
@@ -246,8 +223,8 @@ TEST_P(WalSwitchTest, DataSurvivesWalKindSwitch) {
           << i;
       EXPECT_EQ("v" + std::to_string(i), value);
     }
-    // Write more under the new WAL, crash again, and recover once more
-    // with the new kind: both generations must be intact.
+    // Write more under the new count, crash again, and recover once more
+    // with it: both generations must be intact.
     WriteOptions sync;
     sync.sync = true;
     for (int i = 300; i < 400; i++) {
@@ -258,12 +235,8 @@ TEST_P(WalSwitchTest, DataSurvivesWalKindSwitch) {
   }
 
   {
-    auto wal = make_wal(!classic_first);
-    DBOptions options;
-    options.wal_manager = wal.get();
-    options.write_buffer_size = 8 << 20;
     std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    ASSERT_TRUE(DB::Open(options_for(second), dbname, &db).ok());
     std::string value;
     for (int i = 0; i < 400; i++) {
       ASSERT_TRUE(
@@ -274,12 +247,131 @@ TEST_P(WalSwitchTest, DataSurvivesWalKindSwitch) {
   std::filesystem::remove_all(dbname);
 }
 
-INSTANTIATE_TEST_SUITE_P(Directions, WalSwitchTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param
-                                      ? std::string("ClassicToEWal")
-                                      : std::string("EWalToClassic");
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Directions, WalSwitchTest,
+    ::testing::Values(std::make_pair(1, 4), std::make_pair(4, 1)),
+    [](const ::testing::TestParamInfo<std::pair<int, int>>& param_info) {
+      return "Segments" + std::to_string(param_info.param.first) + "To" +
+             std::to_string(param_info.param.second);
+    });
+
+// A store written by the single-file WAL that predates the striped one:
+// its unflushed {number}.log must replay at any segment count, and once a
+// flush retires a log every file of it is deleted, whatever its format.
+class LegacyLogTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    dbname_ = ::testing::TempDir() + "/rocksmash_legacy_log_" +
+              std::to_string(GetParam());
+    std::filesystem::remove_all(dbname_);
+    options_.wal_segments = GetParam();
+    options_.write_buffer_size = 8 << 20;
+  }
+
+  void TearDown() override { std::filesystem::remove_all(dbname_); }
+
+  // Numbers of the logs on disk, in either format.
+  std::set<uint64_t> LogNumbers() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(Env::Default()->GetChildren(dbname_, &children).ok());
+    std::set<uint64_t> numbers;
+    for (const std::string& child : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(child, &number, &type) &&
+          (type == FileType::kLogFile || type == FileType::kEWalFile)) {
+        numbers.insert(number);
+      }
+    }
+    return numbers;
+  }
+
+  // Creates the store and leaves its live log `number` in the legacy
+  // format: kKeys unflushed Puts in one {number}.log written by log::Writer
+  // directly. `keep_segments` keeps the empty segments the open created
+  // next to it, so the log has files of both formats.
+  void WriteLegacyStore(bool keep_segments, uint64_t* number) {
+    Env* env = Env::Default();
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(options_, dbname_, &db).ok());
+      ASSERT_TRUE(db->Close().ok());
+    }
+    const std::set<uint64_t> logs = LogNumbers();
+    ASSERT_EQ(1u, logs.size());
+    *number = *logs.begin();
+    for (int k = 0; !keep_segments && k < GetParam(); k++) {
+      ASSERT_TRUE(env->RemoveFile(EWalFileName(dbname_, *number, k)).ok());
+    }
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(
+        env->NewWritableFile(LogFileName(dbname_, *number), &file).ok());
+    log::Writer writer(file.get());
+    for (int i = 0; i < kKeys; i++) {
+      WriteBatch batch;
+      batch.Put("legacy" + std::to_string(i), "v" + std::to_string(i));
+      WriteBatchInternal::SetSequence(&batch,
+                                      static_cast<SequenceNumber>(i) + 1);
+      ASSERT_TRUE(writer.AddRecord(WriteBatchInternal::Contents(&batch)).ok());
+    }
+    ASSERT_TRUE(file->Sync().ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+
+  static constexpr int kKeys = 200;
+  std::string dbname_;
+  DBOptions options_;
+};
+
+TEST_P(LegacyLogTest, UnflushedLegacyLogReplays) {
+  uint64_t legacy = 0;
+  ASSERT_NO_FATAL_FAILURE(WriteLegacyStore(/*keep_segments=*/false, &legacy));
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, dbname_, &db).ok());
+  EXPECT_EQ(static_cast<uint64_t>(kKeys),
+            db->GetRecoveryStats().records_replayed);
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(
+        db->Get(ReadOptions(), "legacy" + std::to_string(i), &value).ok())
+        << i;
+    EXPECT_EQ("v" + std::to_string(i), value);
+  }
+  // New writes continue the recovered sequence, so they shadow nothing.
+  ASSERT_TRUE(db->Put(WriteOptions(), "legacy0", "new").ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), "legacy0", &value).ok());
+  EXPECT_EQ("new", value);
+}
+
+TEST_P(LegacyLogTest, RetiredLogsLeaveNoFileOfEitherFormat) {
+  uint64_t legacy = 0;
+  ASSERT_NO_FATAL_FAILURE(WriteLegacyStore(/*keep_segments=*/true, &legacy));
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options_, dbname_, &db).ok());
+  // Recovery flushed log `legacy` to L0 and opened a new log.
+  std::set<uint64_t> logs = LogNumbers();
+  ASSERT_EQ(1u, logs.size());
+  const uint64_t live = *logs.begin();
+  EXPECT_GT(live, legacy);
+
+  ASSERT_TRUE(db->Put(WriteOptions(), "after", "flush").ok());
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  // Close waits for the flush job, including its obsolete-file GC.
+  ASSERT_TRUE(db->Close().ok());
+  logs = LogNumbers();
+  ASSERT_EQ(1u, logs.size());
+  EXPECT_GT(*logs.begin(), live);
+  EXPECT_FALSE(Env::Default()->FileExists(LogFileName(dbname_, legacy)));
+  Env* env = Env::Default();
+  for (int k = 0; k < GetParam(); k++) {
+    EXPECT_FALSE(env->FileExists(EWalFileName(dbname_, legacy, k))) << k;
+    EXPECT_FALSE(env->FileExists(EWalFileName(dbname_, live, k))) << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Segments, LegacyLogTest, ::testing::Values(1, 4));
 
 TEST(EWalEngineTest, SequencesConsistentAfterParallelReplay) {
   // Writes interleaved with overwrites: parallel out-of-order replay must
@@ -288,11 +380,8 @@ TEST(EWalEngineTest, SequencesConsistentAfterParallelReplay) {
   std::filesystem::remove_all(dbname);
   ASSERT_TRUE(Env::Default()->CreateDirRecursively(dbname).ok());
 
-  EWalOptions ew;
-  ew.segments = 4;
-  auto wal = NewEWalManager(Env::Default(), dbname, ew);
   DBOptions options;
-  options.wal_manager = wal.get();
+  options.wal_segments = 4;
   options.write_buffer_size = 32 * 1024 * 1024;
 
   {

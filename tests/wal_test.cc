@@ -1,7 +1,8 @@
-// Tests for the log format (writer/reader) and the classic WalManager.
+// Tests for the log format (writer/reader) and the one-segment Wal.
 #include <gtest/gtest.h>
 
 #include "env/env.h"
+#include "lsm/filename.h"
 #include "lsm/log_reader.h"
 #include "lsm/log_writer.h"
 #include "lsm/wal.h"
@@ -123,25 +124,28 @@ TEST_F(LogTest, TruncatedTailDroppedSilently) {
   EXPECT_EQ(0, reports);  // Torn tail is an expected crash artifact.
 }
 
-// ---------- Classic WalManager ----------
+// ---------- One-segment Wal ----------
 
-class ClassicWalTest : public ::testing::Test {
+class OneSegmentWalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = NewMemEnv();
-    wal_ = NewClassicWalManager(env_.get(), "/db");
+    wal_ = std::make_unique<Wal>(env_.get(), "/db", /*segments=*/1);
   }
 
   std::unique_ptr<Env> env_;
-  std::unique_ptr<WalManager> wal_;
+  std::unique_ptr<Wal> wal_;
 };
 
-TEST_F(ClassicWalTest, WriteAndReplay) {
+TEST_F(OneSegmentWalTest, WriteAndReplay) {
   ASSERT_TRUE(wal_->NewLog(5).ok());
   ASSERT_TRUE(wal_->AddRecord("record1").ok());
   ASSERT_TRUE(wal_->AddRecord("record2").ok());
   ASSERT_TRUE(wal_->Sync().ok());
   ASSERT_TRUE(wal_->CloseLog().ok());
+  // One segment keeps the striped naming, so K can change across restarts.
+  EXPECT_TRUE(env_->FileExists(EWalFileName("/db", 5, 0)));
+  EXPECT_FALSE(env_->FileExists(EWalFileName("/db", 5, 1)));
 
   std::vector<std::string> replayed;
   ASSERT_TRUE(wal_
@@ -157,7 +161,7 @@ TEST_F(ClassicWalTest, WriteAndReplay) {
   EXPECT_EQ("record2", replayed[1]);
 }
 
-TEST_F(ClassicWalTest, ListAndRemove) {
+TEST_F(OneSegmentWalTest, ListLogs) {
   ASSERT_TRUE(wal_->NewLog(3).ok());
   ASSERT_TRUE(wal_->AddRecord("x").ok());
   ASSERT_TRUE(wal_->NewLog(7).ok());
@@ -169,17 +173,43 @@ TEST_F(ClassicWalTest, ListAndRemove) {
   ASSERT_EQ(2u, logs.size());
   EXPECT_EQ(3u, logs[0]);
   EXPECT_EQ(7u, logs[1]);
-
-  ASSERT_TRUE(wal_->RemoveLog(3).ok());
-  ASSERT_TRUE(wal_->ListLogs(&logs).ok());
-  ASSERT_EQ(1u, logs.size());
-  EXPECT_EQ(7u, logs[0]);
 }
 
-TEST_F(ClassicWalTest, MaxShardsIsOne) { EXPECT_EQ(1, wal_->MaxShards()); }
+TEST_F(OneSegmentWalTest, MaxShardsIsOne) { EXPECT_EQ(1, wal_->MaxShards()); }
 
-TEST_F(ClassicWalTest, AddRecordWithoutOpenLogFails) {
+TEST_F(OneSegmentWalTest, AddRecordWithoutOpenLogFails) {
   EXPECT_FALSE(wal_->AddRecord("x").ok());
+}
+
+// A log in the legacy single-file format is listed and replayed on shard 0
+// at any segment count, next to the segments of the same number.
+TEST(LegacyLogTest, ListedAndReplayedOnShardZero) {
+  for (int segments : {1, 4}) {
+    std::unique_ptr<Env> env = NewMemEnv();
+    {
+      std::unique_ptr<WritableFile> file;
+      ASSERT_TRUE(env->NewWritableFile(LogFileName("/db", 6), &file).ok());
+      log::Writer writer(file.get());
+      ASSERT_TRUE(writer.AddRecord("legacy1").ok());
+      ASSERT_TRUE(writer.AddRecord("legacy2").ok());
+      ASSERT_TRUE(file->Close().ok());
+    }
+    Wal wal(env.get(), "/db", segments);
+    std::vector<uint64_t> logs;
+    ASSERT_TRUE(wal.ListLogs(&logs).ok());
+    ASSERT_EQ(std::vector<uint64_t>{6}, logs);
+
+    std::vector<std::string> replayed;
+    ASSERT_TRUE(wal.Replay(6,
+                           [&](const Slice& record, int shard) {
+                             EXPECT_EQ(0, shard);
+                             replayed.push_back(record.ToString());
+                             return Status::OK();
+                           })
+                    .ok());
+    EXPECT_EQ((std::vector<std::string>{"legacy1", "legacy2"}), replayed)
+        << segments;
+  }
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
-#include "lsm/wal.h"
+#include "lsm/filename.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -158,43 +158,78 @@ TEST(WriteThreadTest, ConcurrentAndSerialApplyAgree) {
 
 // ---------- WAL sync failure ----------
 
-// Delegating WAL whose Sync() starts failing on command.
-class FailingSyncWal : public WalManager {
+// Env over Env::Default() whose WAL files start failing Sync() on command.
+// Every other file (MANIFEST, SSTs) keeps syncing normally.
+class FailingSyncEnv final : public Env {
  public:
-  explicit FailingSyncWal(std::unique_ptr<WalManager> base)
-      : base_(std::move(base)) {}
-
-  Status NewLog(uint64_t number) override { return base_->NewLog(number); }
-  Status AddRecord(const Slice& record) override {
-    return base_->AddRecord(record);
-  }
-  Status Sync() override {
-    if (fail_syncs_.load(std::memory_order_acquire)) {
-      return Status::IOError("injected sync failure");
-    }
-    return base_->Sync();
-  }
-  Status CloseLog() override { return base_->CloseLog(); }
-  Status ListLogs(std::vector<uint64_t>* numbers) override {
-    return base_->ListLogs(numbers);
-  }
-  Status RemoveLog(uint64_t number) override {
-    return base_->RemoveLog(number);
-  }
-  Status Replay(
-      uint64_t number,
-      const std::function<Status(const Slice& record, int shard)>& apply,
-      ReplayTelemetry* telemetry) override {
-    return base_->Replay(number, apply, telemetry);
-  }
-  int MaxShards() const override { return base_->MaxShards(); }
-
   void SetFailSyncs(bool fail) {
     fail_syncs_.store(fail, std::memory_order_release);
   }
 
+  Status NewSequentialFile(const std::string& f,
+                           std::unique_ptr<SequentialFile>* r) override {
+    return base_->NewSequentialFile(f, r);
+  }
+  Status NewRandomAccessFile(const std::string& f,
+                             std::unique_ptr<RandomAccessFile>* r) override {
+    return base_->NewRandomAccessFile(f, r);
+  }
+  Status NewWritableFile(const std::string& f,
+                         std::unique_ptr<WritableFile>* r) override {
+    Status s = base_->NewWritableFile(f, r);
+    uint64_t number;
+    int segment;
+    if (s.ok() &&
+        ParseEWalFileName(f.substr(f.rfind('/') + 1), &number, &segment)) {
+      *r = std::make_unique<WalFile>(std::move(*r), &fail_syncs_);
+    }
+    return s;
+  }
+  bool FileExists(const std::string& f) override {
+    return base_->FileExists(f);
+  }
+  Status GetChildren(const std::string& d,
+                     std::vector<std::string>* r) override {
+    return base_->GetChildren(d, r);
+  }
+  Status RemoveFile(const std::string& f) override {
+    return base_->RemoveFile(f);
+  }
+  Status CreateDir(const std::string& d) override {
+    return base_->CreateDir(d);
+  }
+  Status RemoveDir(const std::string& d) override {
+    return base_->RemoveDir(d);
+  }
+  Status GetFileSize(const std::string& f, uint64_t* size) override {
+    return base_->GetFileSize(f, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
  private:
-  std::unique_ptr<WalManager> base_;
+  class WalFile final : public WritableFile {
+   public:
+    WalFile(std::unique_ptr<WritableFile> base, std::atomic<bool>* fail)
+        : base_(std::move(base)), fail_(fail) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Close() override { return base_->Close(); }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      if (fail_->load(std::memory_order_acquire)) {
+        return Status::IOError("injected sync failure");
+      }
+      return base_->Sync();
+    }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    std::atomic<bool>* fail_;
+  };
+
+  Env* const base_ = Env::Default();
   std::atomic<bool> fail_syncs_{false};
 };
 
@@ -205,16 +240,14 @@ TEST(WriteThreadTest, SyncFailurePoisonsWrites) {
   const std::string dbname = TestDir("sync_fail");
   std::filesystem::remove_all(dbname);
 
-  Env* env = Env::Default();
-  ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
-  auto wal = std::make_unique<FailingSyncWal>(NewClassicWalManager(env, dbname));
-  FailingSyncWal* wal_ptr = wal.get();
+  FailingSyncEnv env;
+  ASSERT_TRUE(env.CreateDirRecursively(dbname).ok());
 
   DBOptions options;
+  options.env = &env;
   options.create_if_missing = true;
   options.enable_pipelined_write = true;
   options.allow_concurrent_memtable_write = true;
-  options.wal_manager = wal_ptr;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
@@ -223,12 +256,12 @@ TEST(WriteThreadTest, SyncFailurePoisonsWrites) {
   sync_wo.sync = true;
   ASSERT_TRUE(db->Put(sync_wo, "healthy", "before").ok());
 
-  wal_ptr->SetFailSyncs(true);
+  env.SetFailSyncs(true);
   Status s = db->Put(sync_wo, "doomed", "value");
   ASSERT_FALSE(s.ok());
 
   // The failure is sticky: even non-sync writes are refused afterwards.
-  wal_ptr->SetFailSyncs(false);
+  env.SetFailSyncs(false);
   EXPECT_FALSE(db->Put(WriteOptions(), "after", "value").ok());
   EXPECT_FALSE(db->Put(sync_wo, "after-sync", "value").ok());
 
@@ -252,22 +285,19 @@ TEST(WriteThreadTest, CloseSurfacesWalSyncFailure) {
   const std::string dbname = TestDir("close_sync_fail");
   std::filesystem::remove_all(dbname);
 
-  Env* env = Env::Default();
-  ASSERT_TRUE(env->CreateDirRecursively(dbname).ok());
-  auto wal =
-      std::make_unique<FailingSyncWal>(NewClassicWalManager(env, dbname));
-  FailingSyncWal* wal_ptr = wal.get();
+  FailingSyncEnv env;
+  ASSERT_TRUE(env.CreateDirRecursively(dbname).ok());
 
   DBOptions options;
+  options.env = &env;
   options.create_if_missing = true;
-  options.wal_manager = wal_ptr;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
   // Unsynced WAL data that the closing sync must make durable.
   ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
 
-  wal_ptr->SetFailSyncs(true);
+  env.SetFailSyncs(true);
   Status close_status = db->Close();
   EXPECT_TRUE(close_status.IsIOError()) << close_status.ToString();
 

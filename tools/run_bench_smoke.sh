@@ -156,6 +156,24 @@ if [ -s BENCH_shard.json ]; then
   fi
 fi
 
+# Recovery must replay without loss even at smoke scale: one row per eWAL
+# segment count K, each with records replayed and no acked write lost.
+if [ -s BENCH_recovery.json ]; then
+  for k in 1 2 4 8 16; do
+    row="$(grep "\"label\": \"eWAL-$k\"" BENCH_recovery.json || true)"
+    if [ -z "$row" ]; then
+      echo "FAIL  bench_recovery: no eWAL-$k row" >&2
+      fail=1
+    elif ! grep -q '"lost": 0}' <<<"$row"; then
+      echo "FAIL  bench_recovery: eWAL-$k lost acked writes" >&2
+      fail=1
+    elif ! grep -q '"records": [1-9]' <<<"$row"; then
+      echo "FAIL  bench_recovery: eWAL-$k replayed no records" >&2
+      fail=1
+    fi
+  done
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "bench smoke: FAILURES" >&2
   exit 1
