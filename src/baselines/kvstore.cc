@@ -347,7 +347,6 @@ Status OpenKVStore(const SchemeOptions& options,
     s = SharedResources::Create(sr, &kv->shared_resources_);
     if (!s.ok()) return s;
   }
-  const SharedResources& shared = *kv->shared_resources_;
 
   if (options.kind == SchemeKind::kRocksMash && options.cloud != nullptr) {
     // One persistent cache for every shard: shards namespace their file ids
@@ -386,8 +385,7 @@ Status OpenKVStore(const SchemeOptions& options,
     ts.cloud = options.cloud;
     ts.cloud_prefix = cloud_prefix;
     ts.cloud_readahead_bytes = options.cloud_readahead_bytes;
-    ts.upload_pool = shared.upload_pool();
-    ts.fetch_pool = shared.cloud_fetch_pool();
+    ts.shared_resources = kv->shared_resources_;
     ts.statistics = options.statistics;
     ts.listeners = options.listeners;
 
@@ -449,8 +447,6 @@ Status OpenKVStore(const SchemeOptions& options,
     dbo.max_open_files = options.max_open_files;
     dbo.compress_blocks = options.compress_blocks;
     dbo.blob = options.blob;
-    dbo.max_background_flushes = options.max_background_flushes;
-    dbo.max_background_compactions = options.max_background_compactions;
     dbo.statistics = options.statistics;
     dbo.listeners = options.listeners;
     // One stats-dump thread for the group is plenty.

@@ -65,7 +65,8 @@ struct SchemeOptions {
   bool async_uploads = true;
   int upload_threads = 2;
 
-  // Background lanes of the engine, all schemes (see DBOptions).
+  // Flush and compaction lane threads of the store's SharedResources, all
+  // schemes (SharedResourcesForShards raises them for a sharded store).
   int max_background_flushes = 1;
   int max_background_compactions = 1;
 

@@ -208,15 +208,14 @@ static DBOptions SanitizeOptions(const DBOptions& src) {
   DBOptions result = src;
   if (result.env == nullptr) result.env = Env::Default();
   if (result.info_log == nullptr) result.info_log = DefaultLogger();
-  // Resolve shared-resource fallbacks first: an explicitly set pointer
-  // always wins over the shared one.
-  if (result.shared_resources != nullptr) {
-    if (result.block_cache == nullptr) {
-      result.block_cache = result.shared_resources->block_cache();
-    }
-    if (result.statistics == nullptr) {
-      result.statistics = result.shared_resources->statistics();
-    }
+  // A DB opened on its own gets private resources; they die with it.
+  if (result.shared_resources == nullptr) {
+    // why unchecked: the default options always validate.
+    SharedResources::Create(SharedResourcesOptions(), &result.shared_resources)
+        .PermitUncheckedError();
+  }
+  if (result.statistics == nullptr) {
+    result.statistics = result.shared_resources->statistics();
   }
   if (result.write_buffer_size < 64 * 1024) {
     result.write_buffer_size = 64 * 1024;
@@ -239,27 +238,24 @@ DBImpl::DBImpl(const DBOptions& raw_options, const std::string& dbname)
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
       env_(options_.env),
+      block_cache_(options_.shared_resources->block_cache()),
       wal_(env_, dbname_, options_.wal_segments),
       background_work_finished_signal_(&mutex_),
       apply_done_signal_(&mutex_),
+      flush_pool_(options_.shared_resources->flush_pool()),
+      compaction_pool_(options_.shared_resources->compaction_pool()),
       stats_dump_cv_(&mutex_) {
   if (options_.filter_bits_per_key > 0) {
     internal_filter_policy_ = std::make_unique<InternalFilterPolicy>(
         NewBloomFilterPolicy(options_.filter_bits_per_key),
         options_.prefix_extractor);
   }
-  // Resolve pluggable pieces, creating owned defaults where needed.
+  // Resolve the table storage, creating the local default if none is given.
   if (options_.table_storage != nullptr) {
     storage_ = options_.table_storage;
   } else {
     owned_storage_ = NewLocalTableStorage(env_, dbname_);
     storage_ = owned_storage_.get();
-  }
-  if (options_.block_cache != nullptr) {
-    block_cache_ = options_.block_cache;
-  } else {
-    owned_block_cache_ = NewLRUCache(8 * 1024 * 1024);
-    block_cache_ = owned_block_cache_.get();
   }
 
   table_cache_ = std::make_unique<TableCache>(options_, &internal_comparator_,
@@ -273,22 +269,6 @@ DBImpl::DBImpl(const DBOptions& raw_options, const std::string& dbname)
   versions_ = std::make_unique<VersionSet>(dbname_, &options_,
                                            table_cache_.get(),
                                            &internal_comparator_);
-
-  // Persistent background lanes (replaces the old per-job detached thread).
-  // With shared resources the lanes are process-wide and outlive this DB.
-  if (options_.shared_resources != nullptr) {
-    flush_pool_ = options_.shared_resources->flush_pool();
-    compaction_pool_ = options_.shared_resources->compaction_pool();
-  } else {
-    owned_flush_pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(std::max(1, options_.max_background_flushes)),
-        "bg-flush");
-    owned_compaction_pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(std::max(1, options_.max_background_compactions)),
-        "bg-compact");
-    flush_pool_ = owned_flush_pool_.get();
-    compaction_pool_ = owned_compaction_pool_.get();
-  }
 
   if (options_.stats_dump_period_sec > 0 && options_.statistics != nullptr) {
     stats_dump_thread_ = std::thread([this] { StatsDumpThread(); });
@@ -318,14 +298,9 @@ Status DBImpl::Close() {
     }
   }
   if (stats_dump_thread_.joinable()) stats_dump_thread_.join();
-  // Stop owned lanes. Shutdown drains queued-but-unstarted jobs, which see
-  // shutting_down_ and return immediately. Must happen outside mutex_ (the
-  // drained jobs acquire it) and before any member teardown. Shared lanes
-  // stay up for the other shards: the bg-flag wait above already saw this
-  // DB's jobs (in flight or queued) through to completion, so nothing on a
-  // shared pool can touch this DB afterwards.
-  if (owned_flush_pool_ != nullptr) owned_flush_pool_->Shutdown();
-  if (owned_compaction_pool_ != nullptr) owned_compaction_pool_->Shutdown();
+  // The lanes stay up (other shards may share them): the bg-flag wait above
+  // already saw this DB's jobs, in flight or queued, through to completion,
+  // so nothing on a lane can touch this DB afterwards.
 
   // Make everything the WAL buffered durable before teardown: an error here
   // means acknowledged unsynced writes could vanish on a crash-free
@@ -651,24 +626,17 @@ Status DBImpl::Recover(VersionEdit* edit) {
               Pending{m, versions_->NewFileNumber(), {}, 0, 0, {}});
         }
       }
-      if (!pending.empty()) {
-        // Bounded by hardware concurrency: oversubscription gains nothing
-        // and pollutes the critical-path timings.
-        const int hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        const int threads = std::min(static_cast<int>(pending.size()), hw);
-        ThreadPool pool(threads, "recovery-flush");
-        for (Pending& p : pending) {
-          Pending* pp = &p;
-          pool.Schedule([this, pp] {
-            const uint64_t t0 = SystemClock::Default()->NowMicros();
-            pp->status = BuildRecoveryTable(pp->mem, pp->number, &pp->meta,
-                                            &pp->metadata_offset);
-            pp->micros = SystemClock::Default()->NowMicros() - t0;
-          });
-        }
-        pool.WaitIdle();
+      std::vector<std::function<void()>> flushes;
+      for (Pending& p : pending) {
+        Pending* pp = &p;
+        flushes.push_back([this, pp] {
+          const uint64_t t0 = SystemClock::Default()->NowMicros();
+          pp->status = BuildRecoveryTable(pp->mem, pp->number, &pp->meta,
+                                          &pp->metadata_offset);
+          pp->micros = SystemClock::Default()->NowMicros() - t0;
+        });
       }
+      RunParallel(flushes);
       Status fs;
       uint64_t slowest_flush = 0;
       for (Pending& p : pending) {

@@ -1,6 +1,7 @@
 // DBImpl: the engine. Single write-group mutex, decoupled background flush
-// and compaction lanes (owned thread pools), pluggable TableStorage, and
-// the one write-ahead log (lsm/wal.h) the engine builds and owns.
+// and compaction lanes (from the SharedResources in DBOptions), pluggable
+// TableStorage, and the one write-ahead log (lsm/wal.h) the engine builds
+// and owns.
 //
 // Locking: one Mutex (mutex_) guards all mutable DB state; long I/O
 // (table builds, MANIFEST writes, obsolete-file deletion) drops it and
@@ -176,11 +177,11 @@ class DBImpl final : public DB {
   const std::string dbname_;
   Env* const env_;
 
-  // Owned defaults for pluggable pieces the caller left null.
+  // Owned default for the table storage the caller left null.
   std::unique_ptr<TableStorage> owned_storage_;
-  std::unique_ptr<Cache> owned_block_cache_;
   TableStorage* storage_;
-  Cache* block_cache_;
+  // From options_.shared_resources, which outlives every member below.
+  Cache* const block_cache_;
   Wal wal_;  // Striped over options_.wal_segments segment files.
 
   std::unique_ptr<TableCache> table_cache_;
@@ -244,15 +245,12 @@ class DBImpl final : public DB {
 
   // Background job lanes, one job in flight per lane. A flush runs
   // concurrently with a compaction; MakeRoomForWrite therefore stalls only
-  // on genuine L0 backpressure, not on a busy compaction slot. The pools
-  // are DB-owned by default; with Options::shared_resources set they are
-  // the shared lanes every shard draws from (Close then waits out this
-  // DB's in-flight jobs via the bg flags instead of shutting the pool
-  // down — same owned/raw pattern as storage_/block_cache_ above).
-  std::unique_ptr<ThreadPool> owned_flush_pool_;
-  std::unique_ptr<ThreadPool> owned_compaction_pool_;
-  ThreadPool* flush_pool_ = nullptr;
-  ThreadPool* compaction_pool_ = nullptr;
+  // on genuine L0 backpressure, not on a busy compaction slot. The lanes
+  // belong to options_.shared_resources and may serve other shards too, so
+  // Close waits out this DB's jobs via the bg flags instead of shutting the
+  // pools down.
+  ThreadPool* const flush_pool_;
+  ThreadPool* const compaction_pool_;
   bool bg_flush_scheduled_ GUARDED_BY(mutex_) = false;
   bool bg_compaction_scheduled_ GUARDED_BY(mutex_) = false;
   bool manifest_write_in_progress_ GUARDED_BY(mutex_) = false;

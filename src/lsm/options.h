@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "util/cache.h"
 #include "util/comparator.h"
 #include "util/status.h"
 
@@ -73,15 +72,11 @@ struct DBOptions {
   // Values < 1 are treated as 1.
   int wal_segments = 1;
 
-  // RAM block cache shared across tables. Not owned; nullptr: 8 MiB default
-  // cache owned by the DB.
-  Cache* block_cache = nullptr;
-
-  // Process-wide pools this DB draws from (see lsm/shared_resources.h).
-  // When set, null block_cache/statistics fall back to the shared ones and
-  // background flush/compaction jobs run on the shared lanes instead of
-  // DB-owned pools (max_background_flushes/compactions are then ignored).
-  // Shared — every shard of a ShardedDB holds the same object.
+  // The one owner of this DB's RAM block cache and its flush and compaction
+  // lanes (see lsm/shared_resources.h); a null statistics falls back to the
+  // shared one. nullptr: DB::Open creates a private one with the
+  // SharedResourcesOptions defaults (8 MiB cache, one flush and one
+  // compaction thread). Every shard of a ShardedDB holds the same object.
   std::shared_ptr<SharedResources> shared_resources;
 
   // Bloom filter bits per key; 0 disables filters.
@@ -115,15 +110,6 @@ struct DBOptions {
 
   // Number of open tables kept in the table cache.
   int max_open_files = 1000;
-
-  // Background job lanes. Flushes and compactions run on separate owned
-  // thread pools so a memtable flush never queues behind a long compaction
-  // (and its cloud uploads): MakeRoomForWrite stalls only on genuine L0
-  // backpressure. At most one flush and one compaction job are in flight at
-  // a time (the version set serializes manifest commits); extra lane
-  // threads absorb scheduling bursts. Values < 1 are sanitized to 1.
-  int max_background_flushes = 1;
-  int max_background_compactions = 1;
 
   // Two-stage write front-end (see DESIGN.md "Write pipeline"): a
   // leader-elected WAL stage hands the queue to the next leader as soon as

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <set>
 
 #include "env/env.h"
 #include "lsm/filename.h"
@@ -22,10 +21,12 @@ namespace {
 constexpr uint64_t kShardSeed = 0x5ca1ab1e0ddba11ull;
 
 constexpr char kShardMarkerFile[] = "SHARDS";
-constexpr char kShardDirPrefix[] = "shard-";
 
-std::string ShardPath(const std::string& name, int i) {
-  return name + "/" + kShardDirPrefix + std::to_string(i);
+// The Statistics a shard opened with `o` records into: DB::Open falls back
+// to the SharedResources' one when the options name none.
+Statistics* ResolvedStatistics(const DBOptions& o) {
+  return o.statistics != nullptr ? o.statistics
+                                 : o.shared_resources->statistics();
 }
 
 // Composite snapshot: one member snapshot per shard, taken in shard order.
@@ -149,10 +150,26 @@ Status ShardedDB::Open(const std::vector<ShardSpec>& specs,
   if (specs.size() > 4096) {
     return Status::InvalidArgument("ShardedDB::Open", "too many shards");
   }
-  for (size_t i = 1; i < specs.size(); i++) {
-    if (specs[i].options.comparator != specs[0].options.comparator) {
+  // One resource owner: a spec without a SharedResources would get a
+  // private one from DB::Open, so every spec must name the same handle.
+  const DBOptions& first = specs[0].options;
+  if (first.shared_resources == nullptr) {
+    return Status::InvalidArgument("ShardedDB::Open",
+                                   "shards need a SharedResources");
+  }
+  for (const ShardSpec& spec : specs) {
+    const DBOptions& o = spec.options;
+    if (o.comparator != first.comparator) {
       return Status::InvalidArgument(
           "ShardedDB::Open", "all shards must share one comparator");
+    }
+    if (o.shared_resources != first.shared_resources) {
+      return Status::InvalidArgument(
+          "ShardedDB::Open", "all shards must share one SharedResources");
+    }
+    if (ResolvedStatistics(o) != ResolvedStatistics(first)) {
+      return Status::InvalidArgument(
+          "ShardedDB::Open", "all shards must share one Statistics");
     }
   }
   std::vector<std::unique_ptr<DB>> shards;
@@ -174,96 +191,11 @@ Status ShardedDB::Open(const std::vector<ShardSpec>& specs,
   return Status::OK();
 }
 
-Status ShardedDB::Open(const DBOptions& base, const std::string& name,
-                       int num_shards, std::unique_ptr<DB>* dbptr) {
-  dbptr->reset();
-  if (num_shards < 1) {
-    return Status::InvalidArgument("ShardedDB::Open",
-                                   "num_shards must be >= 1");
-  }
-  if (base.table_storage != nullptr) {
-    return Status::InvalidArgument(
-        "ShardedDB::Open",
-        "table_storage is per-shard; use the ShardSpec overload");
-  }
-  Env* env = base.env != nullptr ? base.env : Env::Default();
-  Status s = env->CreateDirRecursively(name);
-  if (!s.ok()) return s;
-
-  s = CheckShardMarker(env, name, num_shards, base.create_if_missing);
-  if (s.IsNotFound()) {
-    return Status::InvalidArgument(name, "does not exist (sharded)");
-  }
-  if (!s.ok()) return s;
-
-  // One SharedResources for the group: a single cache/statistics budget and
-  // one flush/compaction lane pair regardless of N.
-  std::shared_ptr<SharedResources> shared = base.shared_resources;
-  if (shared == nullptr) {
-    SharedResourcesOptions sr = SharedResourcesForShards(
-        num_shards, base.max_background_flushes,
-        base.max_background_compactions,
-        SharedResourcesOptions().upload_threads);
-    sr.statistics = base.statistics;
-    s = SharedResources::Create(sr, &shared);
-    if (!s.ok()) return s;
-  }
-
-  std::vector<ShardSpec> specs(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; i++) {
-    DBOptions opts = base;
-    opts.shared_resources = shared;
-    // Keep the group's total memtable budget at the unsharded value: each
-    // shard flushes at 1/N (floored so tiny configs stay usable).
-    opts.write_buffer_size = std::max<size_t>(
-        base.write_buffer_size / static_cast<size_t>(num_shards), 256 * 1024);
-    specs[static_cast<size_t>(i)].options = opts;
-    specs[static_cast<size_t>(i)].path = ShardPath(name, i);
-    s = env->CreateDirRecursively(specs[static_cast<size_t>(i)].path);
-    if (!s.ok()) return s;
-  }
-  return Open(specs, dbptr);
-}
-
-Status ShardedDB::Destroy(const DBOptions& options, const std::string& name) {
-  Env* env = options.env != nullptr ? options.env : Env::Default();
-  int num_shards = 0;
-  Status s = ReadShardMarker(env, name, &num_shards);
-  if (s.IsNotFound()) {
-    // Never opened sharded: fall through to the plain destroy.
-    return DestroyDB(name, options);
-  }
-  if (!s.ok()) return s;
-  Status first;
-  for (int i = 0; i < num_shards; i++) {
-    Status ds = DestroyDB(ShardPath(name, i), options);
-    if (!ds.ok() && first.ok()) first = ds;
-  }
-  Status rs = env->RemoveFile(name + "/" + kShardMarkerFile);
-  if (!rs.ok() && first.ok()) first = rs;
-  // why unchecked: best-effort removal of the (possibly non-empty) root.
-  env->RemoveDir(name).PermitUncheckedError();
-  return first;
-}
-
 ShardedDB::ShardedDB(std::vector<ShardSpec> specs,
                      std::vector<std::unique_ptr<DB>> shards)
-    : specs_(std::move(specs)), shards_(std::move(shards)) {
-  shard_statistics_.reserve(shards_.size());
-  shard_caches_.reserve(shards_.size());
-  for (const ShardSpec& spec : specs_) {
-    const DBOptions& o = spec.options;
-    Statistics* stats = o.statistics;
-    Cache* cache = o.block_cache;
-    if (o.shared_resources != nullptr) {
-      if (stats == nullptr) stats = o.shared_resources->statistics();
-      if (cache == nullptr) cache = o.shared_resources->block_cache();
-    }
-    shard_statistics_.push_back(stats);
-    shard_caches_.push_back(cache);
-    if (statistics_ == nullptr) statistics_ = stats;
-  }
-}
+    : specs_(std::move(specs)),
+      shards_(std::move(shards)),
+      statistics_(ResolvedStatistics(specs_[0].options)) {}
 
 ShardedDB::~ShardedDB() {
   // why unchecked: destructors cannot report; Close() is the reporting path
@@ -488,9 +420,8 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
 
   if (rest == Slice("stats") || rest == Slice("levelstats") ||
       rest == Slice("sstables")) {
-    // Per-shard sections; for "stats" each distinct Statistics object is
-    // appended once at the end (shards normally share one, so its tickers
-    // would otherwise repeat N times).
+    // Per-shard sections; for "stats" the group's one Statistics object is
+    // appended once at the end.
     for (size_t i = 0; i < shards_.size(); i++) {
       value->append("--- shard " + std::to_string(i) + " ---\n");
       std::string one;
@@ -500,25 +431,16 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
       if (!shards_[i]->GetProperty(forwarded, &one)) return false;
       value->append(one);
     }
-    if (rest == Slice("stats")) {
-      std::set<Statistics*> seen;
-      for (Statistics* stats : shard_statistics_) {
-        if (stats == nullptr || !seen.insert(stats).second) continue;
-        value->append("\nStatistics:\n");
-        value->append(stats->ToString());
-      }
+    if (rest == Slice("stats") && statistics_ != nullptr) {
+      value->append("\nStatistics:\n");
+      value->append(statistics_->ToString());
     }
     return true;
   }
 
   if (rest.starts_with("ticker.") || rest == Slice("prometheus")) {
-    // Statistics-backed: the object is (normally) shared, so the first
-    // shard that has one answers for the group.
-    for (size_t i = 0; i < shards_.size(); i++) {
-      if (shard_statistics_[i] != nullptr) {
-        return shards_[i]->GetProperty(property, value);
-      }
-    }
+    // Statistics-backed: every shard shares one object, so shard 0 answers
+    // for the group.
     return shards_[0]->GetProperty(property, value);
   }
 
@@ -548,20 +470,13 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
   }
 
   if (rest == Slice("approximate-memory-usage")) {
-    // Count each distinct block cache once (the shared cache is one
-    // process-wide budget) plus every shard's memtables. A null resolved
-    // cache means the shard owns a private default cache, so its full
-    // per-shard figure is used.
-    std::set<Cache*> seen;
+    // The shared block cache once (shard 0's full figure) plus every other
+    // shard's memtables.
     uint64_t total = 0;
     for (size_t i = 0; i < shards_.size(); i++) {
-      Cache* cache = shard_caches_[i];
-      const bool cache_counted =
-          cache != nullptr && !seen.insert(cache).second;
       std::string one;
-      const char* forwarded = cache_counted
-                                  ? "rocksmash.memtable-memory-usage"
-                                  : "rocksmash.approximate-memory-usage";
+      const char* forwarded = i > 0 ? "rocksmash.memtable-memory-usage"
+                                    : "rocksmash.approximate-memory-usage";
       if (!shards_[i]->GetProperty(forwarded, &one)) return false;
       total += std::strtoull(one.c_str(), nullptr, 10);
     }
@@ -591,26 +506,8 @@ bool ShardedDB::GetProperty(const Slice& property,
   }
 
   if (rest == Slice("stats")) {
-    // Ticker name -> count summed over each DISTINCT Statistics object:
-    // shards sharing one object contribute it once, private objects sum.
-    std::set<Statistics*> seen;
-    std::map<std::string, uint64_t> totals;
-    bool any = false;
-    for (size_t i = 0; i < shards_.size(); i++) {
-      Statistics* stats = shard_statistics_[i];
-      if (stats != nullptr && !seen.insert(stats).second) continue;
-      std::map<std::string, std::string> one;
-      if (!shards_[i]->GetProperty(property, &one)) continue;
-      any = true;
-      for (const auto& [name, count] : one) {
-        totals[name] += std::strtoull(count.c_str(), nullptr, 10);
-      }
-    }
-    if (!any) return false;
-    for (const auto& [name, count] : totals) {
-      (*value)[name] = std::to_string(count);
-    }
-    return true;
+    // Ticker name -> count from the group's one Statistics object.
+    return shards_[0]->GetProperty(property, value);
   }
 
   if (rest == Slice("placement")) {
@@ -627,17 +524,13 @@ bool ShardedDB::GetProperty(const Slice& property,
 
   if (rest == Slice("blob")) {
     // Numeric rows sum across shards, except the blob.gc.* tickers which
-    // come from the (normally shared) Statistics object — those are taken
-    // once per distinct object, like the "stats" aggregation.
-    std::set<Statistics*> seen;
+    // come from the group's one Statistics object: shard 0's count them.
     std::map<std::string, uint64_t> totals;
     for (size_t i = 0; i < shards_.size(); i++) {
       std::map<std::string, std::string> one;
       if (!shards_[i]->GetProperty(property, &one)) return false;
-      Statistics* stats = shard_statistics_[i];
-      const bool count_gc = stats == nullptr || seen.insert(stats).second;
       for (const auto& [name, count] : one) {
-        if (!count_gc && name.rfind("blob.gc.", 0) == 0) continue;
+        if (i > 0 && name.rfind("blob.gc.", 0) == 0) continue;
         totals[name] += std::strtoull(count.c_str(), nullptr, 10);
       }
     }

@@ -36,47 +36,34 @@
 
 namespace rocksmash {
 
-class Cache;
 class Statistics;
 
 class ShardedDB : public DB {
  public:
-  // One entry per shard for the general open path: callers that need
-  // per-shard plumbing (tiered storage, eWAL, cloud prefixes) build each
-  // shard's DBOptions themselves. Every spec should carry the same
-  // shared_resources handle, or the shards multiply the process's cache
-  // and thread footprint by N.
+  // One entry per shard: the caller (OpenKVStore) builds each shard's
+  // DBOptions with its per-shard plumbing (tiered storage, eWAL, cloud
+  // prefix) and its directory.
   struct ShardSpec {
     DBOptions options;
     std::string path;
   };
 
-  // Opens one engine shard per spec (in order; spec i is shard i). On any
-  // shard failing to open, already-opened shards are closed and *dbptr
-  // stays null. Spec paths/directories are the caller's responsibility.
+  // Opens one engine shard per spec (in order; spec i is shard i). Every
+  // spec must carry the same non-null shared_resources handle and resolve
+  // to the same Statistics (its own, else the shared one), or the call
+  // returns InvalidArgument before opening any shard: one cache and thread
+  // budget, and one set of tickers, for the group. On any shard failing to
+  // open, already-opened shards are closed and *dbptr stays null. Spec
+  // paths/directories are the caller's responsibility.
   static Status Open(const std::vector<ShardSpec>& specs,
                      std::unique_ptr<DB>* dbptr);
-
-  // Convenience open for plain local shards: creates `name` plus
-  // `name/shard-<i>` directories, persists the shard count in a
-  // `name/SHARDS` marker (reopening with a different count returns
-  // InvalidArgument), and gives every shard `base` with a common
-  // SharedResources (created from the base knobs when base.shared_resources
-  // is null). base.table_storage must be null — it is a per-shard
-  // object; use the ShardSpec overload to supply one.
-  static Status Open(const DBOptions& base, const std::string& name,
-                     int num_shards, std::unique_ptr<DB>* dbptr);
-
-  // Removes a convenience-layout sharded DB: every shard directory listed
-  // by the SHARDS marker, the marker, and `name` itself.
-  static Status Destroy(const DBOptions& options, const std::string& name);
 
   // The routing function: fastrange over the upper 32 hash bits, so the
   // low bits stay independent for memtable/filter/cache hashing.
   static uint32_t ShardOfKey(const Slice& key, uint32_t num_shards);
 
-  // Reads the `name/SHARDS` marker written by the convenience Open.
-  // NotFound when the DB was never opened sharded.
+  // Reads the `name/SHARDS` marker written by CheckShardMarker. NotFound
+  // when the store was never opened sharded.
   static Status ReadShardMarker(Env* env, const std::string& name,
                                 int* num_shards);
 
@@ -125,19 +112,13 @@ class ShardedDB : public DB {
   // shard i's member snapshot; passes everything else through.
   ReadOptions OptionsForShard(const ReadOptions& options, size_t i) const;
 
-  // Immutable after construction (no lock needed): the shards, the spec
-  // options they were opened with, and identity vectors used to dedupe
-  // shared objects during property aggregation.
+  // Immutable after construction (no lock needed): the shards and the
+  // spec options they were opened with.
   std::vector<ShardSpec> specs_;
   std::vector<std::unique_ptr<DB>> shards_;
-  // Per shard: the Statistics / Cache the shard actually uses (explicit
-  // pointer, else the shared one, else null meaning a DB-owned private
-  // object). Aggregation counts each distinct non-null object once.
-  std::vector<Statistics*> shard_statistics_;
-  std::vector<Cache*> shard_caches_;
-  // First non-null entry of shard_statistics_: where the router's own
-  // tickers (shard.write.batches.split, shard.multiget.fanout) land.
-  Statistics* statistics_ = nullptr;
+  // The group's one Statistics (may be null): the router's own tickers
+  // (shard.write.batches.split, shard.multiget.fanout) land here.
+  Statistics* const statistics_;
 
   // Lock order: before every shard's DBImpl::mutex_. Guards only the
   // idempotent-close state below; Close() holds it across the shard

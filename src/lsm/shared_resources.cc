@@ -20,50 +20,52 @@ SharedResourcesOptions SharedResourcesForShards(int num_shards,
 // Keep the field checks here in sync with the SharedResourcesOptions struct
 // and the DESIGN.md "Sharding & shared resources" resource table
 // (tools/lint.py enforces this).
-Status ValidateSharedResourcesOptions(const SharedResourcesOptions& opts) {
-  if (opts.block_cache_bytes < 1) {
+Status ValidateSharedResourcesOptions(const SharedResourcesOptions& options) {
+  if (options.block_cache_bytes < 1) {
     return Status::InvalidArgument(
         "SharedResourcesOptions::block_cache_bytes", "must be >= 1");
   }
-  if (opts.block_cache_shard_bits < 0 || opts.block_cache_shard_bits > 8) {
+  if (options.block_cache_shard_bits < 0 ||
+      options.block_cache_shard_bits > 8) {
     return Status::InvalidArgument(
         "SharedResourcesOptions::block_cache_shard_bits",
         "must be in [0, 8]");
   }
-  if (opts.flush_threads < 1) {
+  if (options.flush_threads < 1) {
     return Status::InvalidArgument("SharedResourcesOptions::flush_threads",
                                    "must be >= 1");
   }
-  if (opts.compaction_threads < 1) {
+  if (options.compaction_threads < 1) {
     return Status::InvalidArgument(
         "SharedResourcesOptions::compaction_threads", "must be >= 1");
   }
-  if (opts.upload_threads < 1) {
+  if (options.upload_threads < 1) {
     return Status::InvalidArgument("SharedResourcesOptions::upload_threads",
                                    "must be >= 1");
   }
-  if (opts.cloud_fetch_threads < 1) {
+  if (options.cloud_fetch_threads < 1) {
     return Status::InvalidArgument(
         "SharedResourcesOptions::cloud_fetch_threads", "must be >= 1");
   }
   // statistics: any pointer (including null) is valid; listed so the lint
   // rule sees every field acknowledged by the validator.
-  (void)opts.statistics;
+  (void)options.statistics;
   return Status::OK();
 }
 
-SharedResources::SharedResources(const SharedResourcesOptions& opts)
-    : options_(opts) {
-  block_cache_ = NewLRUCache(opts.block_cache_bytes,
-                             opts.block_cache_shard_bits, opts.statistics);
+SharedResources::SharedResources(const SharedResourcesOptions& options)
+    : options_(options) {
+  block_cache_ =
+      NewLRUCache(options_.block_cache_bytes, options_.block_cache_shard_bits,
+                  options_.statistics);
   flush_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(opts.flush_threads), "shared-flush");
+      static_cast<size_t>(options_.flush_threads), "shared-flush");
   compaction_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(opts.compaction_threads), "shared-compact");
+      static_cast<size_t>(options_.compaction_threads), "shared-compact");
   upload_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(opts.upload_threads), "shared-upload");
+      static_cast<size_t>(options_.upload_threads), "shared-upload");
   fetch_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(opts.cloud_fetch_threads), "shared-fetch");
+      static_cast<size_t>(options_.cloud_fetch_threads), "shared-fetch");
 }
 
 SharedResources::~SharedResources() {
@@ -76,12 +78,12 @@ SharedResources::~SharedResources() {
   if (fetch_pool_ != nullptr) fetch_pool_->Shutdown();
 }
 
-Status SharedResources::Create(const SharedResourcesOptions& opts,
+Status SharedResources::Create(const SharedResourcesOptions& options,
                                std::shared_ptr<SharedResources>* out) {
   out->reset();
-  Status s = ValidateSharedResourcesOptions(opts);
+  Status s = ValidateSharedResourcesOptions(options);
   if (!s.ok()) return s;
-  out->reset(new SharedResources(opts));
+  out->reset(new SharedResources(options));
   return Status::OK();
 }
 

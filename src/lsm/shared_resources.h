@@ -1,15 +1,15 @@
-// SharedResources: the process-wide pools a set of DB shards draws from.
+// SharedResources: the one owner of the process-wide resources an engine
+// draws from — the RAM block cache, the flush and compaction lanes, and the
+// cloud upload and fetch pools — and of the Statistics they report to.
 //
-// Before sharding, every DBImpl owned its background lanes and (optionally)
-// its block cache, and every TieredTableStorage owned its upload and
-// cloud-fetch pools — one DB per process made "owned" and "shared" the same
-// thing. ShardedDB breaks that assumption: N shards must share one RAM
-// block cache (one memory budget), one cloud fetch pool, and one
-// flush/compaction lane pair, or the process multiplies its memory and
-// thread footprint by N. SharedResources owns those singletons explicitly;
-// DBOptions / SchemeOptions carry a handle, and every layer that used to
-// construct its own resource takes it as a dependency instead. See
-// DESIGN.md "Sharding & shared resources".
+// Every DBImpl and TieredTableStorage takes its cache and pools from a
+// SharedResources handle and owns none of its own, so N shards of one
+// store share one memory budget and one thread budget instead of
+// multiplying both by N. OpenKVStore builds one per store and hands it to
+// every layer; a DB::Open or TieredTableStorage without one creates a
+// private instance with the default options, which dies with it. No other
+// file in src/ builds a long-lived ThreadPool (tools/lint.py
+// one-resource-owner). See DESIGN.md "Sharding & shared resources".
 #pragma once
 
 #include <cstddef>
@@ -66,12 +66,12 @@ SharedResourcesOptions SharedResourcesForShards(int num_shards,
 
 // The one validation path for SharedResourcesOptions. Returns
 // InvalidArgument naming the offending field.
-Status ValidateSharedResourcesOptions(const SharedResourcesOptions& opts);
+Status ValidateSharedResourcesOptions(const SharedResourcesOptions& options);
 
 class SharedResources {
  public:
-  // Validates `opts` and builds the pools. On error *out stays null.
-  static Status Create(const SharedResourcesOptions& opts,
+  // Validates `options` and builds the pools. On error *out stays null.
+  static Status Create(const SharedResourcesOptions& options,
                        std::shared_ptr<SharedResources>* out);
 
   ~SharedResources();
@@ -89,7 +89,7 @@ class SharedResources {
   const SharedResourcesOptions& options() const { return options_; }
 
  private:
-  explicit SharedResources(const SharedResourcesOptions& opts);
+  explicit SharedResources(const SharedResourcesOptions& options);
 
   SharedResourcesOptions options_;
   std::unique_ptr<Cache> block_cache_;

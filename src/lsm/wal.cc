@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "env/env.h"
 #include "lsm/filename.h"
@@ -124,45 +123,37 @@ Status Wal::Replay(
               lanes.end());
   if (lanes.empty()) return Status::OK();
 
-  // Never oversubscribe the cores: beyond hardware concurrency, extra
-  // threads only timeshare (no wall-clock win) and pollute the per-lane
-  // timings that model the parallel critical path.
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const int threads = std::min(static_cast<int>(lanes.size()), hw);
-
   // One mutex per shard: lanes that map onto one shard (a legacy file on
   // shard 0, or a log written with a larger K) serialize their apply calls
   // instead of racing.
   std::vector<Mutex> shard_mutexes(segments_);
   std::vector<Status> statuses(lanes.size());
   std::vector<uint64_t> micros(lanes.size(), 0);
-  {
-    ThreadPool pool(threads, "wal-replay");
-    for (size_t i = 0; i < lanes.size(); i++) {
-      const LogFile* lane = &lanes[i];
-      Status* out = &statuses[i];
-      uint64_t* out_micros = &micros[i];
-      pool.Schedule([this, lane, &apply, &shard_mutexes, out, out_micros] {
-        const uint64_t start = SystemClock::Default()->NowMicros();
-        std::unique_ptr<SequentialFile> file;
-        *out = env_->NewSequentialFile(lane->path, &file);
-        if (out->ok()) {
-          // Corruption truncates this lane's replay only (point-in-time
-          // semantics per segment).
-          log::Reader reader(file.get(), /*reporter=*/nullptr);
-          Slice record;
-          std::string scratch;
-          while (out->ok() && reader.ReadRecord(&record, &scratch)) {
-            MutexLock l(&shard_mutexes[lane->shard]);
-            *out = apply(record, lane->shard);
-          }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(lanes.size());
+  for (size_t i = 0; i < lanes.size(); i++) {
+    const LogFile* lane = &lanes[i];
+    Status* out = &statuses[i];
+    uint64_t* out_micros = &micros[i];
+    tasks.push_back([this, lane, &apply, &shard_mutexes, out, out_micros] {
+      const uint64_t start = SystemClock::Default()->NowMicros();
+      std::unique_ptr<SequentialFile> file;
+      *out = env_->NewSequentialFile(lane->path, &file);
+      if (out->ok()) {
+        // Corruption truncates this lane's replay only (point-in-time
+        // semantics per segment).
+        log::Reader reader(file.get(), /*reporter=*/nullptr);
+        Slice record;
+        std::string scratch;
+        while (out->ok() && reader.ReadRecord(&record, &scratch)) {
+          MutexLock l(&shard_mutexes[lane->shard]);
+          *out = apply(record, lane->shard);
         }
-        *out_micros = SystemClock::Default()->NowMicros() - start;
-      });
-    }
-    pool.WaitIdle();
+      }
+      *out_micros = SystemClock::Default()->NowMicros() - start;
+    });
   }
+  RunParallel(tasks);
   if (telemetry != nullptr) telemetry->shard_micros = micros;
   for (const Status& st : statuses) {
     if (!st.ok()) return st;

@@ -7,6 +7,7 @@
 
 #include "env/env.h"
 #include "lsm/filename.h"
+#include "lsm/shared_resources.h"
 #include "table/format.h"
 #include "util/clock.h"
 #include "util/event_listener.h"
@@ -484,21 +485,16 @@ TieredTableStorage::TieredTableStorage(const TieredStorageOptions& options)
     : options_(options),
       env_(options.env != nullptr ? options.env : Env::Default()),
       upload_cv_(&mu_) {
-  if (options_.async_uploads && options_.cloud != nullptr) {
-    if (options_.upload_pool != nullptr) {
-      upload_pool_ = options_.upload_pool;
-    } else {
-      owned_upload_pool_ = std::make_unique<ThreadPool>(
-          static_cast<size_t>(std::max(1, options_.upload_threads)), "upload");
-      upload_pool_ = owned_upload_pool_.get();
-    }
+  if (options_.shared_resources == nullptr) {
+    // why unchecked: the default options always validate.
+    SharedResources::Create(SharedResourcesOptions(),
+                            &options_.shared_resources)
+        .PermitUncheckedError();
   }
   if (options_.cloud != nullptr) {
-    if (options_.fetch_pool != nullptr) {
-      fetch_pool_ = options_.fetch_pool;
-    } else {
-      owned_fetch_pool_ = std::make_unique<ThreadPool>(8, "cloud-fetch");
-      fetch_pool_ = owned_fetch_pool_.get();
+    fetch_pool_ = options_.shared_resources->cloud_fetch_pool();
+    if (options_.async_uploads) {
+      upload_pool_ = options_.shared_resources->upload_pool();
     }
   }
   // why unchecked: an unusable local dir fails the first staging-file
@@ -553,22 +549,13 @@ TieredTableStorage::TieredTableStorage(const TieredStorageOptions& options)
 }
 
 TieredTableStorage::~TieredTableStorage() {
-  // In-flight upload jobs observe stopping_ between retry attempts and park
-  // quickly, leaving their file kUploading on its durable local staging copy
-  // (re-uploaded after restart via the usual level-change path). Shutdown
-  // also drains queued-but-unstarted jobs.
+  // The upload pool may serve other shards, so drain this storage's jobs:
+  // they capture `this` and must not outlive it. In-flight jobs observe
+  // stopping_ between retry attempts and park quickly, leaving their file
+  // kUploading on its durable local staging copy (re-uploaded after restart
+  // via the usual level-change path).
   stopping_.store(true, std::memory_order_release);
-  if (owned_fetch_pool_ != nullptr) {
-    owned_fetch_pool_->Shutdown();
-  }
-  if (owned_upload_pool_ != nullptr) {
-    owned_upload_pool_->Shutdown();
-  } else if (upload_pool_ != nullptr) {
-    // External (shared) pool: it stays up for the other shards, so drain
-    // this storage's jobs instead — they capture `this` and must not
-    // outlive it. stopping_ makes any retry loop park promptly.
-    WaitForPendingUploads();
-  }
+  if (upload_pool_ != nullptr) WaitForPendingUploads();
 }
 
 std::string TieredTableStorage::LocalPath(uint64_t number) const {

@@ -29,6 +29,7 @@ namespace rocksmash {
 
 class Clock;
 class Env;
+class SharedResources;
 class ThreadPool;
 class Statistics;
 class EventListener;
@@ -68,21 +69,19 @@ struct TieredStorageOptions {
   Clock* retry_clock = nullptr;  // default SystemClock
 
   // Asynchronous upload pipeline: Install/OnLevelChange enqueue the cloud
-  // PUT on a small upload pool instead of performing it under mu_. The file
+  // PUT on the upload pool instead of performing it under mu_. The file
   // enters state kUploading and keeps serving reads from its local staging
   // copy; only when the PUT is durable does it become kCloud and the local
   // copy deletable. Off by default so directly-constructed storages keep the
   // synchronous semantics; SchemeOptions turns it on for kRocksMash.
   bool async_uploads = false;
-  int upload_threads = 2;
 
-  // External pools (see lsm/shared_resources.h): when set, upload jobs /
-  // cloud fetches run on these process-wide lanes instead of pools this
-  // storage constructs, so N shards share one cloud-I/O thread budget. Not
-  // owned; must outlive the storage (the destructor drains this storage's
-  // in-flight uploads but does not shut the pools down).
-  ThreadPool* upload_pool = nullptr;
-  ThreadPool* fetch_pool = nullptr;
+  // Owner of the upload and cloud-fetch pools (see lsm/shared_resources.h),
+  // so N shards share one cloud-I/O thread budget. The storage holds the
+  // handle, so the pools outlive it; its destructor drains this storage's
+  // in-flight uploads. nullptr: the storage creates a private one with the
+  // SharedResourcesOptions defaults (2 upload and 8 fetch threads).
+  std::shared_ptr<SharedResources> shared_resources;
 
   // High-bits namespace ORed into every persistent-cache file id (and the
   // packed metadata ids) by this storage. Shards sharing one PersistentCache
@@ -212,15 +211,10 @@ class TieredTableStorage final : public TableStorage {
   TableStorageStats stats_ GUARDED_BY(mu_);
 
   // Async upload pipeline (null when async_uploads is off or no cloud) and
-  // concurrent cloud fetches for batched reads (null when no cloud). The
-  // per-batch in-flight fetch bound is ReadOptions::max_cloud_fan_out,
-  // enforced by the callers; the pool size only caps whole-process
-  // concurrency. Owned by default; when TieredStorageOptions supplies
-  // external pools the owned_ slots stay null and the raw pointers alias
-  // the shared lanes (the destructor then drains this storage's uploads
-  // instead of shutting the pools down).
-  std::unique_ptr<ThreadPool> owned_upload_pool_;
-  std::unique_ptr<ThreadPool> owned_fetch_pool_;
+  // concurrent cloud fetches for batched reads (null when no cloud), both
+  // from options_.shared_resources. The per-batch in-flight fetch bound is
+  // ReadOptions::max_cloud_fan_out, enforced by the callers; the pool size
+  // only caps whole-process concurrency.
   ThreadPool* upload_pool_ = nullptr;
   ThreadPool* fetch_pool_ = nullptr;
   std::atomic<bool> stopping_{false};

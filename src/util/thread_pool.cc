@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+
 namespace rocksmash {
 
 ThreadPool::ThreadPool(size_t num_threads, std::string name)
@@ -98,6 +100,17 @@ void ThreadPool::WorkerLoop() {
     }
   }
   mu_.Unlock();
+}
+
+void RunParallel(const std::vector<std::function<void()>>& tasks) {
+  if (tasks.empty()) return;
+  // Never oversubscribe the cores: beyond hardware concurrency, extra
+  // threads only timeshare (no wall-clock win) and pollute the per-task
+  // timings that model a parallel critical path.
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool(std::min(tasks.size(), hw), "fork-join");
+  for (const auto& task : tasks) pool.Schedule(task);
+  pool.WaitIdle();
 }
 
 }  // namespace rocksmash

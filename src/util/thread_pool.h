@@ -1,5 +1,5 @@
-// Fixed-size thread pool used for background flush/compaction and for the
-// eWAL parallel recovery fan-out.
+// Fixed-size thread pool behind the SharedResources lanes (background
+// flush/compaction, cloud upload and fetch) and the RunParallel fan-out.
 //
 // Thread-safety: all public methods may be called concurrently from any
 // thread. Lifecycle:
@@ -63,5 +63,11 @@ class ThreadPool {
   bool shutdown_complete_ GUARDED_BY(mu_) = false;
   std::vector<std::thread> threads_ GUARDED_BY(mu_);
 };
+
+// Fork-join: runs every task on a scoped pool of min(tasks, hardware
+// concurrency) threads and returns once all have finished. For one-off
+// fan-outs at open (WAL replay, recovery flush); long-lived pools belong to
+// SharedResources.
+void RunParallel(const std::vector<std::function<void()>>& tasks);
 
 }  // namespace rocksmash

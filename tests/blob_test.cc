@@ -15,6 +15,7 @@
 #include "cloud/object_store.h"
 #include "env/env.h"
 #include "lsm/db.h"
+#include "lsm/shared_resources.h"
 #include "mash/placement.h"
 #include "util/clock.h"
 #include "util/metrics.h"
@@ -377,6 +378,10 @@ TEST_F(BlobTest, ReopenWithInFlightBlobUploads) {
   auto* faults = dynamic_cast<FaultInjectable*>(cloud.get());
   ASSERT_NE(nullptr, faults);
 
+  // The DB and its storage draw from one SharedResources.
+  ASSERT_TRUE(SharedResources::Create(SharedResourcesOptions(),
+                                      &options_.shared_resources)
+                  .ok());
   auto make_storage = [&]() {
     TieredStorageOptions ts;
     ts.local_dir = dir;
@@ -384,6 +389,7 @@ TEST_F(BlobTest, ReopenWithInFlightBlobUploads) {
     ts.cloud_level_start = 0;  // Everything, blobs included, wants the cloud.
     ts.async_uploads = true;
     ts.statistics = &stats_;
+    ts.shared_resources = options_.shared_resources;
     return std::make_unique<TieredTableStorage>(ts);
   };
 
@@ -429,6 +435,7 @@ TEST_F(BlobTest, ReopenWithInFlightBlobUploads) {
   db_.reset();
   storage.reset();
   options_.table_storage = nullptr;
+  options_.shared_resources = nullptr;
   std::filesystem::remove_all(dir);
 }
 

@@ -255,8 +255,6 @@ TEST(ConcurrencyStressTest, FlushWhileCompactingDrainsBothLanes) {
   options.write_buffer_size = 16 * 1024;
   options.max_file_size = 16 * 1024;
   options.max_bytes_for_level_base = 64 * 1024;
-  options.max_background_flushes = 1;
-  options.max_background_compactions = 1;
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
@@ -546,16 +544,19 @@ TEST(ConcurrencyStressTest, ShardedWritersScansMultiGetRaceShardFlushes) {
   const std::string name = TestDir("sharded");
   std::filesystem::remove_all(name);
 
-  DBOptions base;
-  base.create_if_missing = true;
+  SchemeOptions opts;
+  opts.kind = SchemeKind::kLocalOnly;
+  opts.local_dir = name;
+  opts.num_shards = 4;
   // Small enough that the flush broadcast always finds a non-trivial
   // memtable on some shard.
-  base.write_buffer_size = 64 * 1024;
-  base.max_file_size = 32 * 1024;
-  base.max_bytes_for_level_base = 128 * 1024;
+  opts.write_buffer_size = 64 * 1024;
+  opts.max_file_size = 32 * 1024;
+  opts.max_bytes_for_level_base = 128 * 1024;
 
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+  DB* db = store->db();
 
   constexpr uint64_t kKeys = 1200;
   WriteOptions wo;
@@ -663,14 +664,14 @@ TEST(ConcurrencyStressTest, ShardedWritersScansMultiGetRaceShardFlushes) {
 
   db->WaitForCompaction();
   // Teardown races nothing: the shared lanes drain before the shards die.
-  db.reset();
+  store.reset();
 
   // Reopen proves every shard's WAL + manifest survived the churn.
-  std::unique_ptr<DB> reopened;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &reopened).ok());
+  std::unique_ptr<KVStore> reopened;
+  ASSERT_TRUE(OpenKVStore(opts, &reopened).ok());
   for (uint64_t i = 0; i < kKeys; i += 53) {
     std::string value;
-    ASSERT_TRUE(reopened->Get(ReadOptions(), KeyOf(i), &value).ok())
+    ASSERT_TRUE(reopened->db()->Get(ReadOptions(), KeyOf(i), &value).ok())
         << KeyOf(i);
     EXPECT_EQ(ValueOf(i), value);
   }

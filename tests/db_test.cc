@@ -10,6 +10,7 @@
 #include "env/env.h"
 #include "lsm/dbformat.h"
 #include "lsm/filename.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace rocksmash {
@@ -23,7 +24,6 @@ class DBTest : public ::testing::Test {
     std::filesystem::remove_all(dbname_);
     options_.create_if_missing = true;
     options_.write_buffer_size = 256 * 1024;
-    options_.block_cache = nullptr;
     ASSERT_TRUE(Open().ok());
   }
 
@@ -424,6 +424,55 @@ TEST_F(DBTest, OrderedIterationMatchesSortedInput) {
     EXPECT_EQ(*expect, it->key().ToString());
   }
   EXPECT_EQ(expect, keys.end());
+}
+
+// Threads of this process, or 0 when /proc/self/task is unavailable.
+size_t ProcessThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  size_t n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) n++;
+  return n;
+}
+
+// A bare DB::Open flushes and compacts on private resources that die with
+// the DB: over many open/write/flush/close cycles no pool outlives its DB.
+TEST(DBPrivateResourcesTest, BareOpenLeavesNoThreadsBehind) {
+  if (ProcessThreadCount() == 0) GTEST_SKIP() << "no /proc/self/task";
+  const std::string dbname =
+      ::testing::TempDir() + "/rocksmash_db_private_resources";
+  std::filesystem::remove_all(dbname);
+  Statistics stats;
+  DBOptions options;
+  options.create_if_missing = true;
+  options.statistics = &stats;
+
+  const size_t start = ProcessThreadCount();
+  for (int cycle = 0; cycle < 20; cycle++) {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+    // The private flush and compaction lanes are up.
+    EXPECT_GE(ProcessThreadCount(), start + 2);
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
+                          "v" + std::to_string(cycle))
+                      .ok());
+    }
+    ASSERT_TRUE(db->CompactRange(nullptr, nullptr).ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+  EXPECT_EQ(start, ProcessThreadCount());
+  EXPECT_GT(stats.GetTickerCount(FLUSH_LANE_BYTES_WRITTEN), 0u);
+  EXPECT_GT(stats.GetTickerCount(COMPACTION_LANE_BYTES_WRITTEN), 0u);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+  std::string value;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key7", &value).ok());
+  EXPECT_EQ("v19", value);
+  db.reset();
+  std::filesystem::remove_all(dbname);
 }
 
 }  // namespace

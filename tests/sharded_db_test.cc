@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/kvstore.h"
 #include "env/env.h"
+#include "lsm/filename.h"
 #include "lsm/shared_resources.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -35,9 +37,12 @@ std::string ValueOf(uint64_t i, uint64_t version) {
   return "value-" + std::to_string(i) + "-v" + std::to_string(version);
 }
 
-DBOptions SmallOptions() {
-  DBOptions o;
-  o.create_if_missing = true;
+// A small local-only store of num_shards shards at `dir`.
+SchemeOptions SmallStore(const std::string& dir, int num_shards) {
+  SchemeOptions o;
+  o.kind = SchemeKind::kLocalOnly;
+  o.local_dir = dir;
+  o.num_shards = num_shards;
   o.write_buffer_size = 64 * 1024;
   o.max_file_size = 64 * 1024;
   o.max_bytes_for_level_base = 256 * 1024;
@@ -76,9 +81,10 @@ TEST(ShardedDBTest, RandomizedModelAcrossShardCounts) {
         TestDir(("model_" + std::to_string(num_shards)).c_str());
     std::filesystem::remove_all(name);
 
-    DBOptions base = SmallOptions();
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(ShardedDB::Open(base, name, num_shards, &db).ok());
+    const SchemeOptions opts = SmallStore(name, num_shards);
+    std::unique_ptr<KVStore> store;
+    ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+    DB* db = store->db();
 
     std::map<std::string, std::string> model;
     Random64 rng(0xdecaf000 + static_cast<uint64_t>(num_shards));
@@ -124,8 +130,9 @@ TEST(ShardedDBTest, RandomizedModelAcrossShardCounts) {
       }
       if (op == kOps / 2) {
         // Mid-stream reopen: every shard recovers its own WAL + manifest.
-        db.reset();
-        ASSERT_TRUE(ShardedDB::Open(base, name, num_shards, &db).ok());
+        store.reset();
+        ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+        db = store->db();
       }
     }
     db->WaitForCompaction();
@@ -159,8 +166,8 @@ TEST(ShardedDBTest, RandomizedModelAcrossShardCounts) {
     EXPECT_TRUE(mit == model.end()) << "scan missed " << mit->first;
     iter.reset();
 
-    db.reset();
-    ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+    store.reset();
+    std::filesystem::remove_all(name);
     EXPECT_FALSE(std::filesystem::exists(name + "/SHARDS"));
   }
 }
@@ -172,11 +179,12 @@ TEST(ShardedDBTest, BatchSplitTickerAndSingleShardPassthrough) {
   std::filesystem::remove_all(name);
 
   auto stats = CreateDBStatistics();
-  DBOptions base = SmallOptions();
-  base.statistics = stats.get();
+  SchemeOptions opts = SmallStore(name, 4);
+  opts.statistics = stats.get();
 
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+  DB* db = store->db();
 
   // Collect keys per shard so we can build single- and multi-shard batches
   // deterministically.
@@ -228,8 +236,8 @@ TEST(ShardedDBTest, BatchSplitTickerAndSingleShardPassthrough) {
         db->Get(ReadOptions(), keys_by_shard[3][0], &value).IsNotFound());
   }
 
-  db.reset();
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  store.reset();
+  std::filesystem::remove_all(name);
 }
 
 // ---------- MultiGet ----------
@@ -239,11 +247,12 @@ TEST(ShardedDBTest, MultiGetGroupsPerShardAndPreservesOrder) {
   std::filesystem::remove_all(name);
 
   auto stats = CreateDBStatistics();
-  DBOptions base = SmallOptions();
-  base.statistics = stats.get();
+  SchemeOptions opts = SmallStore(name, 4);
+  opts.statistics = stats.get();
 
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+  DB* db = store->db();
 
   constexpr uint64_t kKeys = 200;
   for (uint64_t i = 0; i < kKeys; i++) {
@@ -275,8 +284,8 @@ TEST(ShardedDBTest, MultiGetGroupsPerShardAndPreservesOrder) {
   // The batch fanned out to more than one shard.
   EXPECT_GE(stats->GetTickerCount(SHARD_MULTIGET_FANOUT), 2u);
 
-  db.reset();
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  store.reset();
+  std::filesystem::remove_all(name);
 }
 
 // ---------- Iterators and snapshots ----------
@@ -285,9 +294,9 @@ TEST(ShardedDBTest, CrossShardIteratorIsGloballySorted) {
   const std::string name = TestDir("iter");
   std::filesystem::remove_all(name);
 
-  DBOptions base = SmallOptions();
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 8, &db).ok());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(SmallStore(name, 8), &store).ok());
+  DB* db = store->db();
 
   std::map<std::string, std::string> model;
   Random64 rng(42);
@@ -324,17 +333,17 @@ TEST(ShardedDBTest, CrossShardIteratorIsGloballySorted) {
   EXPECT_EQ(model.rbegin()->first, it->key().ToString());
   it.reset();
 
-  db.reset();
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  store.reset();
+  std::filesystem::remove_all(name);
 }
 
 TEST(ShardedDBTest, CompositeSnapshotPinsEveryShard) {
   const std::string name = TestDir("snapshot");
   std::filesystem::remove_all(name);
 
-  DBOptions base = SmallOptions();
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(SmallStore(name, 4), &store).ok());
+  DB* db = store->db();
 
   for (uint64_t i = 0; i < 100; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), KeyOf(i), ValueOf(i, 1)).ok());
@@ -372,8 +381,8 @@ TEST(ShardedDBTest, CompositeSnapshotPinsEveryShard) {
   ASSERT_TRUE(db->Get(ReadOptions(), KeyOf(0), &value).ok());
   EXPECT_EQ(ValueOf(0, 2), value);
 
-  db.reset();
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  store.reset();
+  std::filesystem::remove_all(name);
 }
 
 // ---------- Property aggregation ----------
@@ -383,11 +392,12 @@ TEST(ShardedDBTest, PropertyAggregationAndShardPassthrough) {
   std::filesystem::remove_all(name);
 
   auto stats = CreateDBStatistics();
-  DBOptions base = SmallOptions();
-  base.statistics = stats.get();
+  SchemeOptions opts = SmallStore(name, 4);
+  opts.statistics = stats.get();
 
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+  DB* db = store->db();
 
   for (uint64_t i = 0; i < 500; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), KeyOf(i), ValueOf(i, 0)).ok());
@@ -451,8 +461,8 @@ TEST(ShardedDBTest, PropertyAggregationAndShardPassthrough) {
   EXPECT_FALSE(db->GetProperty("rocksmash.shard.9.stats", &v));
   EXPECT_FALSE(db->GetProperty("rocksmash.no-such-property", &v));
 
-  db.reset();
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  store.reset();
+  std::filesystem::remove_all(name);
 }
 
 // ---------- Shared resources ----------
@@ -492,13 +502,13 @@ TEST(ShardedDBTest, ShardsDrawFromOneSharedResources) {
   std::shared_ptr<SharedResources> shared;
   ASSERT_TRUE(SharedResources::Create(sro, &shared).ok());
 
-  DBOptions base = SmallOptions();
-  base.shared_resources = shared;
+  SchemeOptions opts = SmallStore(name, 4);
+  opts.shared_resources = shared;
 
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
-  auto* sharded = static_cast<ShardedDB*>(db.get());
-  EXPECT_EQ(4u, sharded->num_shards());
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(opts, &store).ok());
+  DB* db = store->db();
+  EXPECT_EQ(4u, static_cast<ShardedDB*>(db)->num_shards());
 
   for (uint64_t i = 0; i < 1000; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), KeyOf(i), ValueOf(i, 0)).ok());
@@ -517,15 +527,88 @@ TEST(ShardedDBTest, ShardsDrawFromOneSharedResources) {
   Cache::Stats cache_stats = shared->block_cache()->GetStats();
   EXPECT_GT(cache_stats.hits + cache_stats.misses, 0u);
 
-  db.reset();
-  // The SharedResources outlives the DB: pools are still usable (a second
-  // open against the same handle works).
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  store.reset();
+  // The SharedResources outlives the store: pools are still usable (a
+  // second open against the same handle works).
+  ASSERT_TRUE(OpenKVStore(opts, &store).ok());
   std::string value;
-  ASSERT_TRUE(db->Get(ReadOptions(), KeyOf(3), &value).ok());
+  ASSERT_TRUE(store->db()->Get(ReadOptions(), KeyOf(3), &value).ok());
   EXPECT_EQ(ValueOf(3, 0), value);
+  store.reset();
+  std::filesystem::remove_all(name);
+}
+
+// Shards that would not share one cache and thread budget, or one set of
+// tickers, are refused before any shard opens.
+TEST(ShardedDBTest, OpenRefusesShardsWithoutOneResourceOwner) {
+  const std::string name = TestDir("one_owner");
+  std::filesystem::remove_all(name);
+
+  std::shared_ptr<SharedResources> a;
+  std::shared_ptr<SharedResources> b;
+  ASSERT_TRUE(SharedResources::Create(SharedResourcesOptions(), &a).ok());
+  ASSERT_TRUE(SharedResources::Create(SharedResourcesOptions(), &b).ok());
+  auto stats_a = CreateDBStatistics();
+  auto stats_b = CreateDBStatistics();
+
+  auto specs_with = [&](std::shared_ptr<SharedResources> second,
+                        Statistics* first_stats, Statistics* second_stats) {
+    std::vector<ShardedDB::ShardSpec> specs(2);
+    for (size_t i = 0; i < specs.size(); i++) {
+      specs[i].path = name + "/shard-" + std::to_string(i);
+      EXPECT_TRUE(
+          Env::Default()->CreateDirRecursively(specs[i].path).ok());
+      specs[i].options.shared_resources = i == 0 ? a : second;
+      specs[i].options.statistics = i == 0 ? first_stats : second_stats;
+    }
+    return specs;
+  };
+  auto no_shard_opened = [&] {
+    for (int i = 0; i < 2; i++) {
+      const std::string path = name + "/shard-" + std::to_string(i);
+      if (Env::Default()->FileExists(CurrentFileName(path))) return false;
+    }
+    return true;
+  };
+
+  std::unique_ptr<DB> db;
+  // Two SharedResources.
+  Status s = ShardedDB::Open(specs_with(b, nullptr, nullptr), &db);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, db.get());
+  EXPECT_TRUE(no_shard_opened());
+
+  // One SharedResources, two Statistics.
+  s = ShardedDB::Open(specs_with(a, stats_a.get(), stats_b.get()), &db);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, db.get());
+  EXPECT_TRUE(no_shard_opened());
+
+  // No SharedResources: DB::Open would give each shard a private one.
+  s = ShardedDB::Open(specs_with(nullptr, nullptr, nullptr), &db);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_TRUE(no_shard_opened());
+  {
+    std::vector<ShardedDB::ShardSpec> unowned =
+        specs_with(nullptr, nullptr, nullptr);
+    unowned[0].options.shared_resources = nullptr;
+    s = ShardedDB::Open(unowned, &db);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_TRUE(no_shard_opened());
+  }
+
+  // One handle, and one Statistics named explicitly on one shard and
+  // through the handle on the other, opens.
+  std::shared_ptr<SharedResources> with_stats;
+  SharedResourcesOptions sro;
+  sro.statistics = stats_a.get();
+  ASSERT_TRUE(SharedResources::Create(sro, &with_stats).ok());
+  a = with_stats;
+  s = ShardedDB::Open(specs_with(a, stats_a.get(), nullptr), &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
   db.reset();
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  std::filesystem::remove_all(name);
 }
 
 // ---------- SHARDS marker ----------
@@ -534,11 +617,10 @@ TEST(ShardedDBTest, ShardMarkerRejectsMismatchedReopen) {
   const std::string name = TestDir("marker");
   std::filesystem::remove_all(name);
 
-  DBOptions base = SmallOptions();
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
-  db.reset();
+  std::unique_ptr<KVStore> store;
+  ASSERT_TRUE(OpenKVStore(SmallStore(name, 4), &store).ok());
+  ASSERT_TRUE(store->db()->Put(WriteOptions(), "k", "v").ok());
+  store.reset();
 
   int persisted = 0;
   ASSERT_TRUE(
@@ -546,16 +628,16 @@ TEST(ShardedDBTest, ShardMarkerRejectsMismatchedReopen) {
   EXPECT_EQ(4, persisted);
 
   // A different count would strand keys in unreachable directories.
-  Status s = ShardedDB::Open(base, name, 2, &db);
+  Status s = OpenKVStore(SmallStore(name, 2), &store);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_EQ(nullptr, db.get());
+  EXPECT_EQ(nullptr, store.get());
 
   // The original count still opens and finds the data.
-  ASSERT_TRUE(ShardedDB::Open(base, name, 4, &db).ok());
+  ASSERT_TRUE(OpenKVStore(SmallStore(name, 4), &store).ok());
   std::string value;
-  ASSERT_TRUE(db->Get(ReadOptions(), "k", &value).ok());
+  ASSERT_TRUE(store->db()->Get(ReadOptions(), "k", &value).ok());
   EXPECT_EQ("v", value);
-  db.reset();
+  store.reset();
 
   // A fresh directory has no marker.
   const std::string fresh = TestDir("marker_fresh");
@@ -566,13 +648,11 @@ TEST(ShardedDBTest, ShardMarkerRejectsMismatchedReopen) {
           .IsNotFound());
 
   std::filesystem::remove_all(fresh);
-  ASSERT_TRUE(ShardedDB::Destroy(DBOptions(), name).ok());
+  std::filesystem::remove_all(name);
 }
 
 TEST(ShardedDBTest, OpenValidatesArguments) {
   std::unique_ptr<DB> db;
-  EXPECT_TRUE(
-      ShardedDB::Open(DBOptions(), TestDir("bad"), 0, &db).IsInvalidArgument());
   EXPECT_TRUE(ShardedDB::Open(std::vector<ShardedDB::ShardSpec>(), &db)
                   .IsInvalidArgument());
 }

@@ -16,6 +16,7 @@
 
 #include "cloud/object_store.h"
 #include "env/env.h"
+#include "lsm/shared_resources.h"
 #include "mash/placement.h"
 #include "util/clock.h"
 
@@ -153,7 +154,9 @@ TEST(UploadPipeline, TransientFailuresRetriedWithBackoff) {
   ts.async_uploads = true;
   // One upload thread: PUT attempts are serialized, so with fail_every_n=2
   // every failed attempt is followed by a successful retry.
-  ts.upload_threads = 1;
+  SharedResourcesOptions sro;
+  sro.upload_threads = 1;
+  ASSERT_TRUE(SharedResources::Create(sro, &ts.shared_resources).ok());
   TieredTableStorage storage(ts);
 
   auto* injectable = dynamic_cast<FaultInjectable*>(cloud.get());

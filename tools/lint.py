@@ -32,6 +32,10 @@ Rules
                      (src/lsm/shared_resources.cc) and listed in the
                      resource table under "## Sharding & shared resources"
                      in DESIGN.md.
+  one-resource-owner No ThreadPool is constructed in src/ outside
+                     src/lsm/shared_resources.cc and src/util/thread_pool.*:
+                     long-lived pools belong to SharedResources, and
+                     one-off fork-join fan-outs go through RunParallel.
 
 Usage: tools/lint.py [--self-test] [paths...]
 Exits 0 when clean, 1 on findings, 2 on usage/internal errors.
@@ -59,6 +63,13 @@ BLOB_DOC = "DESIGN.md"
 SHARED_RES_HEADER = os.path.join("src", "lsm", "shared_resources.h")
 SHARED_RES_SOURCE = os.path.join("src", "lsm", "shared_resources.cc")
 SHARED_RES_DOC = "DESIGN.md"
+
+# The only files in src/ that may construct a ThreadPool.
+POOL_OWNERS = (
+    "src/lsm/shared_resources.cc",
+    "src/util/thread_pool.h",
+    "src/util/thread_pool.cc",
+)
 
 
 class Finding:
@@ -425,14 +436,14 @@ def check_blob_options_sync(root):
 
 
 def parse_shared_validator_fields(text):
-    """Fields `ValidateSharedResourcesOptions` touches (`opts.<field>`)."""
+    """Fields `ValidateSharedResourcesOptions` touches (`options.<field>`)."""
     m = re.search(
-        r"Status\s+ValidateSharedResourcesOptions\s*\([^)]*opts[^)]*\)"
+        r"Status\s+ValidateSharedResourcesOptions\s*\([^)]*options[^)]*\)"
         r"\s*\{(.*?)\n\}",
         text, re.S)
     if m is None:
         return None
-    return set(re.findall(r"\bopts\.(\w+)", m.group(1)))
+    return set(re.findall(r"\boptions\.(\w+)", m.group(1)))
 
 
 def parse_shared_doc_fields(text):
@@ -480,11 +491,11 @@ def check_shared_resources_sync(root):
                 "shared-resources-sync", SHARED_RES_SOURCE, 1,
                 f"SharedResourcesOptions::{f} is not acknowledged by "
                 "ValidateSharedResourcesOptions (validate it, or "
-                "(void)opts.<field> with a comment if any value is valid)"))
+                "(void)options.<field> with a comment if any value is valid)"))
     for f in validated - set(fields):
         findings.append(Finding(
             "shared-resources-sync", SHARED_RES_SOURCE, 1,
-            f"ValidateSharedResourcesOptions references opts.{f}, which is "
+            f"ValidateSharedResourcesOptions references options.{f}, which is "
             "not a SharedResourcesOptions field"))
     for f in [f for f in fields if f not in doc_fields]:
         findings.append(Finding(
@@ -496,6 +507,35 @@ def check_shared_resources_sync(root):
             "shared-resources-sync", SHARED_RES_DOC, 1,
             f"resource table lists `{f}`, which is not a "
             "SharedResourcesOptions field"))
+    return findings
+
+
+# ------------------------------------------------------ one resource owner --
+
+# make_unique/make_shared<ThreadPool>, new ThreadPool, a named object
+# (`ThreadPool pool(4)`, `ThreadPool pool{4}`) or a temporary
+# (`ThreadPool(4)`). Pointers, references and `ThreadPool::` do not match.
+POOL_CONSTRUCT_RE = re.compile(
+    r"make_(?:unique|shared)\s*<\s*ThreadPool\s*>"
+    r"|\bnew\s+ThreadPool\b"
+    r"|\bThreadPool\s+\w+\s*[({]"
+    r"|(?<![\w~:])ThreadPool\s*\(")
+
+
+def check_one_resource_owner(root, paths=None):
+    findings = []
+    for path in paths or iter_source_files(root, ("src",)):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        if not rel.startswith("src/") or rel in POOL_OWNERS:
+            continue
+        for lineno, line in enumerate(read_lines(path), 1):
+            code = line.split("//", 1)[0]
+            if POOL_CONSTRUCT_RE.search(code):
+                findings.append(Finding(
+                    "one-resource-owner", rel, lineno,
+                    "ThreadPool constructed outside SharedResources — take "
+                    "the pool from a SharedResources, or use RunParallel "
+                    "for a one-off fan-out"))
     return findings
 
 
@@ -511,6 +551,9 @@ void f() {
   DoThing().PermitUncheckedError();  // permit-unchecked: no reason
 }
 const char* p = "rocksmash.ticker.not.a.real.ticker";  // metrics-registry
+void g() {
+  auto pool = std::make_unique<ThreadPool>(2);  // one-resource-owner
+}
 """
 
 
@@ -525,6 +568,7 @@ def run_self_test():
             "mutex-lock-order": check_mutex_lock_order(tmp, [seeded]),
             "todo-issue-tag": check_todo_issue_tag(tmp, [seeded]),
             "permit-unchecked": check_permit_unchecked(tmp, [seeded]),
+            "one-resource-owner": check_one_resource_owner(tmp, [seeded]),
             # metrics check runs against the real repo registry, with the
             # seeded file injected by scanning tmp through the repo's tables.
         }
@@ -642,6 +686,31 @@ def run_self_test():
             if checker(tmp, [clean]):
                 failures.append(f"rule {rule} fired on a compliant file")
 
+        # one-resource-owner: every construction form fires outside the
+        # owners; the same code inside an owner, and pool pointers taken
+        # from a SharedResources anywhere, do not.
+        for form in ("std::make_shared<ThreadPool>(1)", "new ThreadPool(1)",
+                     "ThreadPool pool(1, \"x\")", "ThreadPool pool{1}",
+                     "ThreadPool(1).Shutdown()"):
+            stray = os.path.join(tmp, "src", "stray.cc")
+            with open(stray, "w", encoding="utf-8") as f:
+                f.write("void h() { " + form + "; }\n")
+            if not check_one_resource_owner(tmp, [stray]):
+                failures.append(f"rule one-resource-owner did not fire on "
+                                f"`{form}`")
+        owner = os.path.join(tmp, "src", "lsm", "shared_resources.cc")
+        with open(owner, "w", encoding="utf-8") as f:
+            f.write("auto p = std::make_unique<ThreadPool>(1);\n")
+        borrower = os.path.join(tmp, "src", "borrower.cc")
+        with open(borrower, "w", encoding="utf-8") as f:
+            f.write("class ThreadPool;\n"
+                    "ThreadPool* pool = shared->flush_pool();  // ThreadPool(\n"
+                    "ThreadPool& ref = *pool;\n"
+                    "ThreadPool::Task t;\n")
+        if check_one_resource_owner(tmp, [owner, borrower]):
+            failures.append("rule one-resource-owner fired on compliant "
+                            "code")
+
         if failures:
             for f in failures:
                 print(f"self-test FAIL: {f}", file=sys.stderr)
@@ -671,6 +740,7 @@ def main(argv):
     findings += check_mutex_lock_order(REPO_ROOT, paths)
     findings += check_todo_issue_tag(REPO_ROOT, paths)
     findings += check_permit_unchecked(REPO_ROOT, paths)
+    findings += check_one_resource_owner(REPO_ROOT, paths)
 
     for f in findings:
         print(f)

@@ -8,7 +8,8 @@
 #   2. clang-tidy (config in .clang-tidy)
 #   3. clang-format --dry-run -Werror
 #   4. NO_THREAD_SAFETY_ANALYSIS escape-hatch audit (pure grep; always runs)
-#   5. project lint (tools/lint.py: metrics registry and doc, lock-order
+#   5. project lint (tools/lint.py: metrics registry and doc, blob and
+#      shared-resources option sync, one resource owner, lock-order
 #      comments, TODO tags, PermitUncheckedError reasons; always runs)
 #
 # Usage: tools/run_static_analysis.sh [--format-only|--tidy-only|--tsa-only|--lint-only]
